@@ -67,9 +67,9 @@ let shape_arg =
 
 let storage_arg =
   Arg.(value & opt (some string) None & info [ "storage" ] ~docv:"KIND"
-         ~doc:"Index storage backend: mem (OCaml heap) or paged (page-backed B+-trees, \
-               buffer pool bounded by LXU_POOL_BYTES).  Defaults to the LXU_STORAGE \
-               environment variable, or mem.")
+         ~doc:"Element store: mem (read from the segment skeletons on the OCaml heap) or \
+               paged (a page-backed element index, buffer pool bounded by LXU_POOL_BYTES).  \
+               Defaults to the LXU_STORAGE environment variable, or mem.")
 
 let storage_of_string = function
   | None -> None
@@ -137,7 +137,8 @@ let stats_cmd =
     | None -> ()
     | Some log ->
       Printf.printf "  sb-tree      : %d bytes\n" (Lxu_seglog.Update_log.sb_size_bytes log);
-      Printf.printf "  tag-list     : %d bytes\n" (Lxu_seglog.Update_log.tag_list_size_bytes log)
+      Printf.printf "  tag-list     : %d bytes\n" (Lxu_seglog.Update_log.tag_list_size_bytes log);
+      Printf.printf "  element store: %d bytes\n" (Lxu_seglog.Update_log.element_store_bytes log)
   in
   Cmd.v (Cmd.info "stats" ~doc:"Print index statistics for a document.")
     Term.(const run $ doc_arg $ engine_arg $ segments_arg $ shape_arg)

@@ -25,9 +25,9 @@ type query_stats = {
   elements_scanned : int;
 }
 
-(* A paged index backend never re-attaches durable trees outside
+(* A paged element index never re-attaches a durable tree outside
    recovery: every fresh log built here (create, load, pack, rebuild)
-   clears the store's previous trees and re-indexes into new pages. *)
+   clears the store's previous tree and re-indexes into new pages. *)
 let spec_of_pstore = function
   | None -> Lxu_btree.Storage_backend.Mem
   | Some ps -> Lxu_btree.Storage_backend.Paged { store = ps; attach = false }
@@ -197,8 +197,8 @@ and maybe_pack t =
   match (t.pack_threshold, t.backend) with
   | Some k, Log log when Update_log.segment_count log > k ->
     (* Materialize before creating the fresh log: with paged storage
-       the new log's indexes clear the store's previous trees, after
-       which the old log's index handles are dead. *)
+       the new log's element index clears the store's previous tree,
+       after which the old log's index handle is dead. *)
     let whole = Update_log.materialize log in
     let fresh =
       Update_log.create ~mode:(Update_log.mode log)
@@ -328,9 +328,9 @@ let snapshot t =
     invalid_arg "Lazy_db.snapshot: the STD engine keeps no versioned state (use LD or LS)"
   | Log log ->
     let frozen = Update_log.freeze log ~epoch:t.epoch in
-    (* No pstore either: frozen clones keep in-memory indexes (they
-       materialize from shared segment skeletons), so snapshot reads
-       never touch — or pin — the live database's page store. *)
+    (* No pstore either: frozen clones carry no element index (they
+       read the shared segment skeletons), so snapshot reads never
+       touch — or pin — the live database's page store. *)
     { engine = t.engine; backend = Log frozen; pack_threshold = None; domains = t.domains;
       pool = None; durable = None; pstore = None; epoch = t.epoch }
 
@@ -343,7 +343,7 @@ let cache_stats t =
 
 let size_bytes t =
   match t.backend with
-  | Log log -> Update_log.size_bytes log + Element_index.size_bytes (Update_log.element_index log)
+  | Log log -> Update_log.size_bytes log + Update_log.element_store_bytes log
   | Store store -> Interval_store.element_count store * 3 * 8
 
 let check t =

@@ -77,11 +77,14 @@ val create :
     statistics — only which fetches hit memory instead of the element
     index.
 
-    [storage] picks where the big indexes live.  [`Mem] (the default)
-    keeps the element index and SB-tree on the OCaml heap.  [`Paged]
-    puts them on copy-on-write pages in a {!Lxu_storage.Page_store}
-    whose RAM residency is bounded by the buffer-pool budget
-    ([LXU_POOL_BYTES]) — the beyond-RAM path: with [`Wal dir]
+    [storage] picks the element store.  [`Mem] (the default) reads
+    element sets from the segment skeletons on the OCaml heap — no
+    separate index.  [`Paged] keeps the paper's element index on
+    copy-on-write pages in a {!Lxu_storage.Page_store} whose RAM
+    residency is bounded by the buffer-pool budget ([LXU_POOL_BYTES]).
+    The pool bounds index pages only: the skeletons, SB-tree and tag
+    lists stay resident under both backends.  This is the beyond-RAM
+    path for the element index: with [`Wal dir]
     durability the pages live in [dir/pages] and {!checkpoint} makes
     them durable alongside the snapshot; without durability they live
     on an in-memory device (bounded residency, no persistence).
@@ -217,7 +220,9 @@ val cache_stats : t -> Lxu_seglog.Seg_cache.stats option
     {!load}, {!recover} — all of which also start the cache cold). *)
 
 val size_bytes : t -> int
-(** Footprint of the index structures (update log, or interval store). *)
+(** Footprint of the index structures: the update log plus its element
+    store ({!Lxu_seglog.Update_log.element_store_bytes}), or the
+    interval store. *)
 
 val check : t -> unit
 (** Full invariant check (test helper). *)

@@ -291,7 +291,7 @@ let in_segment_join ?guard ~axis ~(anc : Seg_cache.cols) ~(desc : Seg_cache.cols
    for one SL_D entry), produced by the sequential segment-merge pass
    and executable on any domain: it captures plain integers and
    immutable columnar snapshots, and its execution touches the log
-   only through the read-only element index — or not at all, when the
+   only through the read-only element store — or not at all, when the
    merge pass pre-resolved its snapshots ([d_pre]/[a_pre]) through the
    cache.  Pre-resolution is what keeps worker domains away from the
    cache's LRU bookkeeping. *)
@@ -554,7 +554,7 @@ let run ?(axis = Descendant) ?(push_filter = true) ?(trim_top = true) ?a_filter 
          pass also pre-resolves each task's snapshots here on the
          calling thread (uncounted — tasks count at first use), so
          worker domains never touch the cache.  With it disabled,
-         workers read the element index directly, as before.  Each
+         workers read the element store directly, as before.  Each
          task re-checks [guard], so a cancel aborts the pool run
          within one chunk. *)
       let cache_on = Seg_cache.enabled (Update_log.cache log) in

@@ -35,7 +35,7 @@
     the API boundary.  Under a pool with the cache enabled, each
     unit's snapshots are pre-resolved during the (sequential) merge
     pass, so worker domains never touch the cache's bookkeeping —
-    with the cache disabled they read the element index directly, as
+    with the cache disabled they read the element store directly, as
     before. *)
 
 type axis = Descendant | Child

@@ -5,7 +5,7 @@
     any existing algorithm."
 
     This is STD as the paper measures it: read {e every} element of
-    both tags from the element index, translate each to a global
+    both tags from the element store, translate each to a global
     interval, sort, and run Stack-Tree-Desc.  Unlike Lazy-Join it can
     skip nothing — which is exactly the comparison Figure 12 makes. *)
 

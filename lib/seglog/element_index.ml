@@ -3,31 +3,24 @@ open Lxu_btree
 
 type key = { tid : int; sid : int; start : int; stop : int; level : int }
 
-module K = struct
-  type t = key
-
-  let compare a b =
-    let c = Int.compare a.tid b.tid in
+let compare_key a b =
+  let c = Int.compare a.tid b.tid in
+  if c <> 0 then c
+  else begin
+    let c = Int.compare a.sid b.sid in
     if c <> 0 then c
     else begin
-      let c = Int.compare a.sid b.sid in
+      let c = Int.compare a.start b.start in
       if c <> 0 then c
       else begin
-        let c = Int.compare a.start b.start in
-        if c <> 0 then c
-        else begin
-          let c = Int.compare a.stop b.stop in
-          if c <> 0 then c else Int.compare a.level b.level
-        end
+        let c = Int.compare a.stop b.stop in
+        if c <> 0 then c else Int.compare a.level b.level
       end
     end
-end
+  end
 
-module T = Bptree.Make (K)
-
-(* Paged keys are the same five ints in the same significance order,
-   so the paged tree's lexicographic word compare realises exactly
-   [K.compare]. *)
+(* Keys are the five ints in [compare_key]'s significance order, so the
+   paged tree's lexicographic word compare realises exactly that order. *)
 let kw = 5
 
 let encode (buf : int array) k =
@@ -37,140 +30,70 @@ let encode (buf : int array) k =
   buf.(3) <- k.stop;
   buf.(4) <- k.level
 
-type repr =
-  | Mem of unit T.t
-  | Paged of Paged_bptree.t
+let decode kb = { tid = kb.(0); sid = kb.(1); start = kb.(2); stop = kb.(3); level = kb.(4) }
 
-(* [accesses] is atomic so that concurrent read-side scans (parallel
-   Lazy-Join fetches element arrays from worker domains) stay race-free;
-   the tree itself is only ever mutated between queries.  [kbuf] is
-   writer-side scratch (single-writer discipline) so per-record paged
-   operations do not allocate. *)
-type t = { repr : repr; accesses : int Atomic.t; kbuf : int array }
+(* [kbuf] is writer-side scratch (single-writer discipline) so
+   per-record operations do not allocate. *)
+type t = { tree : Paged_bptree.t; kbuf : int array }
 
 let no_value : int array = [||]
 
-let create ?(branching = 32) ?(backend = Storage_backend.Mem) () =
-  let repr =
-    match backend with
-    | Storage_backend.Mem -> Mem (T.create ~branching ())
-    | Storage_backend.Paged { store; attach } ->
-      let tree = Paged_bptree.attach store ~slot:"elem" ~kw ~vw:0 in
-      (* Starting fresh over a store that still holds a previous
-         tree (checkpoint-LSN mismatch, or a pack/rebuild into the
-         same store): release the old pages first. *)
-      if not attach then Paged_bptree.clear tree;
-      Paged tree
-  in
-  { repr; accesses = Atomic.make 0; kbuf = Array.make kw 0 }
+let create store ~attach =
+  let tree = Paged_bptree.attach store ~slot:"elem" ~kw ~vw:0 in
+  (* Starting fresh over a store that still holds a previous tree
+     (checkpoint-LSN mismatch, or a pack/rebuild into the same store):
+     release the old pages first. *)
+  if not attach then Paged_bptree.clear tree;
+  { tree; kbuf = Array.make kw 0 }
 
-let is_paged t = match t.repr with Mem _ -> false | Paged _ -> true
-
-let size t = match t.repr with Mem tr -> T.length tr | Paged tr -> Paged_bptree.length tr
+let size t = Paged_bptree.length t.tree
 
 let add t k =
-  Atomic.incr t.accesses;
-  match t.repr with
-  | Mem tr -> T.insert tr k ()
-  | Paged tr ->
-    encode t.kbuf k;
-    Paged_bptree.insert tr t.kbuf no_value
+  encode t.kbuf k;
+  Paged_bptree.insert t.tree t.kbuf no_value
 
 let remove t k =
-  Atomic.incr t.accesses;
-  match t.repr with
-  | Mem tr -> T.remove tr k
-  | Paged tr ->
-    encode t.kbuf k;
-    Paged_bptree.remove tr t.kbuf
+  encode t.kbuf k;
+  Paged_bptree.remove t.tree t.kbuf
 
 let add_batch t keys =
   let n = Array.length keys in
   if n > 0 then begin
-    Array.sort K.compare keys;
-    ignore (Atomic.fetch_and_add t.accesses n);
-    match t.repr with
-    | Mem tr -> T.insert_sorted_batch tr (Array.map (fun k -> (k, ())) keys)
-    | Paged tr ->
-      Paged_bptree.insert_sorted_batch tr ~n ~get:(fun i kbuf _vbuf -> encode kbuf keys.(i))
+    Array.sort compare_key keys;
+    Paged_bptree.insert_sorted_batch t.tree ~n ~get:(fun i kbuf _vbuf -> encode kbuf keys.(i))
   end
 
-let iter_segment t ~tid ~sid f =
-  let touched = ref 0 in
-  (* Only records of the requested (tid, sid) count as accesses: the
-     first key past the segment merely terminates the scan and is not
-     an element read. *)
-  (match t.repr with
-  | Mem tr ->
-    let lo = { tid; sid; start = min_int; stop = min_int; level = min_int } in
-    T.iter_from tr lo (fun k () ->
-        if k.tid = tid && k.sid = sid then begin
-          incr touched;
-          f k
-        end
-        else false)
-  | Paged tr ->
-    let lo = [| tid; sid; min_int; min_int; min_int |] in
-    Paged_bptree.iter_from tr lo (fun kb _ ->
-        if kb.(0) = tid && kb.(1) = sid then begin
-          incr touched;
-          f { tid = kb.(0); sid = kb.(1); start = kb.(2); stop = kb.(3); level = kb.(4) }
-        end
-        else false));
-  if !touched > 0 then ignore (Atomic.fetch_and_add t.accesses !touched)
+(* The prefix scan every reader shares: [f] gets the page scratch key
+   of each record of (tid, sid) in ascending [start] order. *)
+let scan t ~tid ~sid f =
+  Paged_bptree.iter_from t.tree [| tid; sid; min_int; min_int; min_int |] (fun kb _ ->
+      kb.(0) = tid && kb.(1) = sid && f kb)
+
+let iter_segment t ~tid ~sid f = scan t ~tid ~sid (fun kb -> f (decode kb))
 
 let elements_of_segment t ~tid ~sid =
   let acc = Vec.create () in
-  iter_segment t ~tid ~sid (fun k ->
-      Vec.push acc k;
+  scan t ~tid ~sid (fun kb ->
+      Vec.push acc (decode kb);
       true);
   Vec.to_array acc
 
 let cols_of_segment t ~tid ~sid =
+  (* The key words go straight from the page scratch into the columns —
+     no key records allocated, which keeps the cache-miss path cheap. *)
   let starts = Vec.create () and stops = Vec.create () and levels = Vec.create () in
-  (match t.repr with
-  | Mem _ ->
-    iter_segment t ~tid ~sid (fun k ->
-        Vec.push starts k.start;
-        Vec.push stops k.stop;
-        Vec.push levels k.level;
-        true)
-  | Paged tr ->
-    (* Specialized scan: the key words go straight from the page
-       scratch into the columns — no key records allocated, which is
-       what keeps the cache-miss path cheap when the index lives on
-       pages. *)
-    let touched = ref 0 in
-    let lo = [| tid; sid; min_int; min_int; min_int |] in
-    Paged_bptree.iter_from tr lo (fun kb _ ->
-        if kb.(0) = tid && kb.(1) = sid then begin
-          incr touched;
-          Vec.push starts kb.(2);
-          Vec.push stops kb.(3);
-          Vec.push levels kb.(4);
-          true
-        end
-        else false);
-    if !touched > 0 then ignore (Atomic.fetch_and_add t.accesses !touched));
+  scan t ~tid ~sid (fun kb ->
+      Vec.push starts kb.(2);
+      Vec.push stops kb.(3);
+      Vec.push levels kb.(4);
+      true);
   { Seg_cache.starts = Vec.to_array starts; stops = Vec.to_array stops;
     levels = Vec.to_array levels }
 
 let iter_all t f =
-  match t.repr with
-  | Mem tr -> T.iter tr (fun k () -> f k)
-  | Paged tr ->
-    Paged_bptree.iter tr (fun kb _ ->
-        f { tid = kb.(0); sid = kb.(1); start = kb.(2); stop = kb.(3); level = kb.(4) };
-        true)
+  Paged_bptree.iter t.tree (fun kb _ ->
+      f (decode kb);
+      true)
 
-let accesses t = Atomic.get t.accesses
-
-let size_bytes t =
-  match t.repr with
-  | Mem tr ->
-    (* 5 ints per key plus tree node overhead, roughly. *)
-    let internal, leaves = T.node_counts tr in
-    (T.length tr * 5 * 8) + ((internal + leaves) * 64)
-  | Paged tr -> Paged_bptree.approx_bytes tr
-
-let height t = match t.repr with Mem tr -> T.height tr | Paged tr -> Paged_bptree.height tr
+let size_bytes t = Paged_bptree.approx_bytes t.tree
+let height t = Paged_bptree.height t.tree

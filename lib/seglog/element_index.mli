@@ -1,5 +1,7 @@
-(** The element index (§3.4): a B{^+}-tree over
-    [(tid, sid, start, stop, level)] keys.
+(** The element index (§3.4): a paged B{^+}-tree over
+    [(tid, sid, start, stop, level)] keys, the element store of
+    [`Paged] storage.  (In-memory logs read element sets straight from
+    the segment skeletons instead; see {!Update_log.elements_of}.)
 
     [start]/[stop] are the element's immutable virtual local positions
     inside segment [sid], so index records never need updating when
@@ -14,16 +16,12 @@ type key = { tid : int; sid : int; start : int; stop : int; level : int }
 
 type t
 
-val create : ?branching:int -> ?backend:Lxu_btree.Storage_backend.spec -> unit -> t
-(** [backend] selects where the tree's nodes live (default in
-    memory).  With [Paged { store; attach = true }] the index reopens
-    the durable tree in the store's ["elem"] root slot — only valid
-    when the store's checkpoint LSN matches the snapshot being
-    loaded; with [attach = false] any previous paged tree is freed
-    and the index starts empty.  [branching] applies to the in-memory
-    backend only (paged fan-out follows the page size). *)
+val create : Lxu_storage_core.Page_store.t -> attach:bool -> t
+(** The index over [store]'s ["elem"] root slot.  [attach = true]
+    reopens the durable tree as-is — only valid when the store's
+    checkpoint LSN matches the snapshot being loaded; [attach = false]
+    frees any previous tree and starts empty. *)
 
-val is_paged : t -> bool
 val size : t -> int
 
 val add : t -> key -> unit
@@ -31,11 +29,10 @@ val remove : t -> key -> bool
 
 val add_batch : t -> key array -> unit
 (** Bulk insertion for batched ingestion: sorts [keys] in place and
-    merges them into the tree in a single O(existing + batch) pass
-    (see {!Lxu_btree.Bptree}), instead of one descent per key.
-    The keys must be pairwise distinct — [(sid, start)] identifies an
-    element, so distinct elements always are.
-    @raise Invalid_argument on duplicate keys in the batch. *)
+    merges them into the tree in one sorted pass instead of one
+    descent per key.  [(sid, start)] identifies an element, so the
+    keys of distinct elements are distinct; a repeated key is stored
+    once. *)
 
 val iter_segment : t -> tid:int -> sid:int -> (key -> bool) -> unit
 (** [iter_segment t ~tid ~sid f] applies [f] to the records of tag
@@ -51,11 +48,7 @@ val cols_of_segment : t -> tid:int -> sid:int -> Seg_cache.cols
 
 val iter_all : t -> (key -> unit) -> unit
 
-val accesses : t -> int
-(** Cumulative count of index operations (lookups, scans steps,
-    insertions, deletions) — a machine-independent cost metric. *)
-
 val size_bytes : t -> int
-(** Approximate in-memory footprint. *)
+(** Bytes of the tree's pages. *)
 
 val height : t -> int

@@ -1,6 +1,8 @@
 open Lxu_util
 open Lxu_btree
 
+module Sb = Bptree.Make (Int)
+
 type mode = Lazy_dynamic | Lazy_static
 
 type metrics = {
@@ -16,10 +18,13 @@ type t = {
   index_attributes : bool;
   registry : Tag_registry.t;
   root : Er_node.t;
-  mutable sb : Sb_index.t;
+  mutable sb : Er_node.t Sb.t;
   mutable sb_dirty : bool;
   tag_list : Tag_list.t;
-  element_index : Element_index.t;
+  element_index : Element_index.t option;
+      (* Paged storage only: in memory the segment skeletons are the
+         element store (see [skeleton_cols]). *)
+  mutable elements : int;  (* live elements, kept by insert/remove/load *)
   mutable synopsis : Path_synopsis.t;
   cache : Seg_cache.t;
   mutable next_sid : int;
@@ -33,15 +38,13 @@ type t = {
   frozen : bool;  (* immutable snapshot produced by [freeze] *)
   qepoch : int;  (* cache epoch for lookups/fills: the snapshot's pinned
                     epoch, or [Seg_cache.latest] on the mutable side *)
-  frozen_elems : int;  (* element count captured at freeze time (the
-                          snapshot carries no element index) *)
 }
 
 let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32) ?cache_bytes
     ?(backend = Storage_backend.Mem) () =
   let root = Er_node.make_root () in
-  let sb = Sb_index.create ~branching ~backend () in
-  Sb_index.insert sb 0 root;
+  let sb = Sb.create ~branching () in
+  Sb.insert sb 0 root;
   {
     mode;
     index_attributes;
@@ -50,7 +53,11 @@ let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32) 
     sb;
     sb_dirty = false;
     tag_list = Tag_list.create ();
-    element_index = Element_index.create ~branching ~backend ();
+    element_index =
+      (match backend with
+      | Storage_backend.Mem -> None
+      | Storage_backend.Paged { store; attach } -> Some (Element_index.create store ~attach));
+    elements = 0;
     synopsis = Path_synopsis.create ();
     cache = Seg_cache.create ?max_bytes:cache_bytes ();
     next_sid = 1;
@@ -67,7 +74,6 @@ let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32) 
       };
     frozen = false;
     qepoch = Seg_cache.latest;
-    frozen_elems = 0;
   }
 
 let mode t = t.mode
@@ -96,14 +102,12 @@ let refresh_er_depth t =
   t.er_depth <- !deepest;
   !deepest
 
-let element_count t =
-  if t.frozen then t.frozen_elems else Element_index.size t.element_index
+let element_count t = t.elements
 
 let is_frozen t = t.frozen
 let epoch t = t.qepoch
 let root t = t.root
 let registry t = t.registry
-let element_index t = t.element_index
 let metrics t = t.metrics
 let tag_list t = t.tag_list
 let cache t = t.cache
@@ -262,6 +266,9 @@ let tag_counts (node : Er_node.t) =
     node.Er_node.elems;
   counts
 
+let key_of sid (e : Er_node.elem) =
+  { Element_index.tid = e.tid; sid; start = e.start; stop = e.stop; level = e.level }
+
 let frozen_guard t who =
   if t.frozen then invalid_arg (who ^ ": frozen snapshot, updates go to the live log")
 
@@ -283,14 +290,14 @@ let insert t ~gp text =
   let sid = node.sid in
   (* Step 5: SB-tree (kept fresh only under LD). *)
   (match t.mode with
-  | Lazy_dynamic -> Sb_index.insert t.sb sid node
+  | Lazy_dynamic -> Sb.insert t.sb sid node
   | Lazy_static -> t.sb_dirty <- true);
-  (* Step 6: element index. *)
-  Vec.iter
-    (fun (e : elem) ->
-      Element_index.add t.element_index
-        { tid = e.tid; sid; start = e.start; stop = e.stop; level = e.level })
-    node.elems;
+  (* Step 6: element store — the skeleton just linked, plus the paged
+     index. *)
+  t.elements <- t.elements + Vec.length node.elems;
+  Option.iter
+    (fun idx -> Vec.iter (fun e -> Element_index.add idx (key_of sid e)) node.elems)
+    t.element_index;
   (* Step 7: tag-list, one path entry per distinct tag in the segment. *)
   let counts = tag_counts node in
   let path = Er_node.path node in
@@ -350,8 +357,8 @@ let insert_batch ?pool t edits =
       | _ -> Array.init b label
     in
     (* Serial ER-tree application.  Index maintenance is deferred:
-       instead of B SB-tree descents, B element-index insert runs and B
-       tag-list passes, the batch pays one bulk merge into each. *)
+       instead of B SB-tree descents, B paged element-index insert runs
+       and B tag-list passes, the batch pays one bulk merge into each. *)
     let sb_pairs = ref [] in
     let ekeys = Vec.create () in
     let sids = ref [] in
@@ -372,17 +379,9 @@ let insert_batch ?pool t edits =
         (match t.mode with
         | Lazy_dynamic -> sb_pairs := (sid, node) :: !sb_pairs
         | Lazy_static -> t.sb_dirty <- true);
-        Vec.iter
-          (fun (e : elem) ->
-            Vec.push ekeys
-              {
-                Element_index.tid = e.tid;
-                sid;
-                start = e.start;
-                stop = e.stop;
-                level = e.level;
-              })
-          node.elems;
+        t.elements <- t.elements + Vec.length node.elems;
+        if Option.is_some t.element_index then
+          Vec.iter (fun e -> Vec.push ekeys (key_of sid e)) node.elems;
         let path = Er_node.path node in
         Hashtbl.iter
           (fun tid count ->
@@ -392,15 +391,14 @@ let insert_batch ?pool t edits =
         Seg_cache.invalidate_segment t.cache ~sid;
         sids := sid :: !sids)
       edits;
-    (* One element-index bulk merge for the whole batch. *)
-    Element_index.add_batch t.element_index (Vec.to_array ekeys);
+    Option.iter (fun idx -> Element_index.add_batch idx (Vec.to_array ekeys)) t.element_index;
     (match t.mode with
     | Lazy_dynamic ->
       (* One SB-tree batch insert — sids were assigned in ascending
          order, so the pairs are already sorted — and one tag-list
          merge over a single gp table, restoring the LD query-ready
          invariant with one pass instead of B. *)
-      Sb_index.insert_sorted_batch t.sb (Array.of_list (List.rev !sb_pairs));
+      Sb.insert_sorted_batch t.sb (Array.of_list (List.rev !sb_pairs));
       Tag_list.sort_all t.tag_list ~gp_of:(gp_table t)
     | Lazy_static -> ());
     List.rev !sids
@@ -469,25 +467,23 @@ let remove t ~gp ~len =
   let removed_sids = ref [] in
   (* (sid, tid, count) decrements for partially affected segments. *)
   let decrements = Hashtbl.create 8 in
+  let drop_elem sid e =
+    t.metrics.elements_removed <- t.metrics.elements_removed + 1;
+    t.elements <- t.elements - 1;
+    Option.iter (fun idx -> ignore (Element_index.remove idx (key_of sid e))) t.element_index
+  in
   let note_removed_elem sid (e : elem) =
     let key = (sid, e.tid) in
     Hashtbl.replace decrements key (1 + Option.value ~default:0 (Hashtbl.find_opt decrements key));
-    t.metrics.elements_removed <- t.metrics.elements_removed + 1;
-    ignore (Element_index.remove t.element_index
-              { tid = e.tid; sid; start = e.start; stop = e.stop; level = e.level })
+    drop_elem sid e
   in
   let delete_subtree k =
     Er_node.iter_subtree k (fun n ->
         removed_sids := n.sid :: !removed_sids;
         Path_synopsis.remove_segment t.synopsis ~sid:n.sid ~elems:n.elems;
-        Vec.iter
-          (fun (e : elem) ->
-            t.metrics.elements_removed <- t.metrics.elements_removed + 1;
-            ignore (Element_index.remove t.element_index
-                      { tid = e.tid; sid = n.sid; start = e.start; stop = e.stop; level = e.level }))
-          n.elems;
+        Vec.iter (drop_elem n.sid) n.elems;
         match t.mode with
-        | Lazy_dynamic -> ignore (Sb_index.remove t.sb n.sid)
+        | Lazy_dynamic -> ignore (Sb.remove t.sb n.sid)
         | Lazy_static -> t.sb_dirty <- true)
   in
   (* Removes virtual range [vu, vv) of [s]'s own text: tombstone it and
@@ -624,63 +620,62 @@ let prepare_for_query t =
     Er_node.iter_subtree t.root (fun n -> Vec.push pairs (n.Er_node.sid, n));
     let pairs = Vec.to_array pairs in
     Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
-    Sb_index.load_sorted t.sb pairs;
+    t.sb <- Sb.of_sorted ~branching:t.branching pairs;
     t.sb_dirty <- false
   end;
   if Tag_list.is_dirty t.tag_list then Tag_list.sort_all t.tag_list ~gp_of:(gp_table t)
 
 let node_of_sid t sid =
   if t.sb_dirty then failwith "Update_log.node_of_sid: stale SB-tree, call prepare_for_query";
-  match Sb_index.find t.sb sid with Some n -> n | None -> raise Not_found
+  match Sb.find t.sb sid with Some n -> n | None -> raise Not_found
 
 let segments_for_tag t ~tag =
   match Tag_registry.find t.registry tag with
   | None -> [||]
   | Some tid -> Tag_list.entries t.tag_list ~tid
 
-(* Frozen snapshots carry no element index; their per-segment element
-   sets come straight from the cloned skeletons, whose [elems] Vecs are
-   already in ascending-[start] order — the same order the index scan
-   produces. *)
-let cols_of_node (n : Er_node.t) ~tid =
-  let count = ref 0 in
-  Vec.iter (fun (e : Er_node.elem) -> if e.Er_node.tid = tid then incr count) n.Er_node.elems;
-  let k = !count in
-  let starts = Array.make k 0 and stops = Array.make k 0 and levels = Array.make k 0 in
-  let i = ref 0 in
-  Vec.iter
-    (fun (e : Er_node.elem) ->
-      if e.Er_node.tid = tid then begin
-        starts.(!i) <- e.Er_node.start;
-        stops.(!i) <- e.Er_node.stop;
-        levels.(!i) <- e.Er_node.level;
-        incr i
-      end)
-    n.Er_node.elems;
-  { Seg_cache.starts; stops; levels }
-
-let elements_of t ~tid ~sid =
-  if t.frozen then begin
-    let n = node_of_sid t sid in
-    let acc = Vec.create () in
+(* The element store of in-memory logs and frozen snapshots: the
+   segment's skeleton, whose [elems] Vec is in ascending-[start] order —
+   the order the paged index scan produces.  A removed sid has no
+   elements. *)
+let skeleton_cols t ~tid ~sid =
+  match node_of_sid t sid with
+  | exception Not_found -> Seg_cache.empty_cols
+  | n ->
+    let elems = n.Er_node.elems in
+    let count = ref 0 in
+    Vec.iter (fun (e : Er_node.elem) -> if e.Er_node.tid = tid then incr count) elems;
+    let k = !count in
+    let starts = Array.make k 0 and stops = Array.make k 0 and levels = Array.make k 0 in
+    let i = ref 0 in
     Vec.iter
       (fun (e : Er_node.elem) ->
-        if e.Er_node.tid = tid then
-          Vec.push acc
-            { Element_index.tid; sid; start = e.Er_node.start; stop = e.Er_node.stop;
-              level = e.Er_node.level })
-      n.Er_node.elems;
-    Vec.to_array acc
-  end
-  else Element_index.elements_of_segment t.element_index ~tid ~sid
+        if e.Er_node.tid = tid then begin
+          starts.(!i) <- e.Er_node.start;
+          stops.(!i) <- e.Er_node.stop;
+          levels.(!i) <- e.Er_node.level;
+          incr i
+        end)
+      elems;
+    { Seg_cache.starts; stops; levels }
+
+let elements_of t ~tid ~sid =
+  match t.element_index with
+  | Some idx -> Element_index.elements_of_segment idx ~tid ~sid
+  | None ->
+    let c = skeleton_cols t ~tid ~sid in
+    Array.init (Seg_cache.cols_length c) (fun i ->
+        { Element_index.tid; sid; start = c.starts.(i); stop = c.stops.(i);
+          level = c.levels.(i) })
 
 let elements_cols t ~tid ~sid =
   match Seg_cache.find_at t.cache ~epoch:t.qepoch ~tid ~sid with
   | Some c -> c
   | None ->
     let c =
-      if t.frozen then cols_of_node (node_of_sid t sid) ~tid
-      else Element_index.cols_of_segment t.element_index ~tid ~sid
+      match t.element_index with
+      | Some idx -> Element_index.cols_of_segment idx ~tid ~sid
+      | None -> skeleton_cols t ~tid ~sid
     in
     Seg_cache.add_at t.cache ~epoch:t.qepoch ~tid ~sid c;
     c
@@ -742,37 +737,30 @@ let tag_list_size_bytes t = Tag_list.size_bytes t.tag_list
 
 let size_bytes t = sb_size_bytes t + tag_list_size_bytes t
 
+(* In memory the skeleton elements are the element store: charge each
+   5 words, the per-key rate of an index over the same records. *)
+let element_store_bytes t =
+  match t.element_index with
+  | Some idx -> Element_index.size_bytes idx
+  | None -> t.elements * 5 * 8
+
 let check t =
   Er_node.check t.root;
-  (* Element index agrees with the per-segment skeletons. *)
+  (* The element counter and the paged element index agree with the
+     per-segment skeletons. *)
   let skeleton_count = ref 0 in
   Er_node.iter_subtree t.root (fun n ->
-      Vec.iter
-        (fun (e : Er_node.elem) ->
-          incr skeleton_count;
-          let key =
-            {
-              Element_index.tid = e.tid;
-              sid = n.Er_node.sid;
-              start = e.start;
-              stop = e.stop;
-              level = e.level;
-            }
-          in
-          ignore key)
-        n.Er_node.elems);
-  (* Frozen snapshots carry no element index; their stored element
-     count stands in for it. *)
-  if t.frozen then begin
-    if t.frozen_elems <> !skeleton_count then
-      failwith
-        (Printf.sprintf "frozen element count is %d, skeletons have %d" t.frozen_elems
-           !skeleton_count)
-  end
-  else if Element_index.size t.element_index <> !skeleton_count then
+      skeleton_count := !skeleton_count + Vec.length n.Er_node.elems);
+  if t.elements <> !skeleton_count then
     failwith
-      (Printf.sprintf "element index has %d records, skeletons have %d"
-         (Element_index.size t.element_index) !skeleton_count);
+      (Printf.sprintf "element counter says %d, skeletons have %d" t.elements !skeleton_count);
+  Option.iter
+    (fun idx ->
+      if Element_index.size idx <> !skeleton_count then
+        failwith
+          (Printf.sprintf "element index has %d records, skeletons have %d"
+             (Element_index.size idx) !skeleton_count))
+    t.element_index;
   (* Tag-list counts agree with the skeletons (sorting first: LS lists
      may be dirty, and sorting does not change their contents). *)
   Tag_list.sort_all t.tag_list ~gp_of:(gp_table t);
@@ -811,10 +799,10 @@ let check t =
     let live = ref 0 in
     Er_node.iter_subtree t.root (fun n ->
         incr live;
-        match Sb_index.find t.sb n.Er_node.sid with
+        match Sb.find t.sb n.Er_node.sid with
         | Some m when m == n -> ()
         | _ -> failwith (Printf.sprintf "SB-tree misses segment %d" n.Er_node.sid));
-    if Sb_index.length t.sb <> !live then failwith "SB-tree holds stale segments"
+    if Sb.length t.sb <> !live then failwith "SB-tree holds stale segments"
   end;
   (* The live segment counter agrees with the ER-tree walk. *)
   if t.live_segments <> segment_count_walk t then
@@ -838,9 +826,7 @@ let freeze t ~epoch =
   Er_node.iter_subtree root (fun n -> Vec.push pairs (n.Er_node.sid, n));
   let pairs = Vec.to_array pairs in
   Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
-  let sb = Sb_index.of_sorted_mem ~branching:t.branching pairs in
-  let elems = ref 0 in
-  Er_node.iter_subtree root (fun n -> elems := !elems + Vec.length n.Er_node.elems);
+  let sb = Sb.of_sorted ~branching:t.branching pairs in
   {
     mode = t.mode;
     index_attributes = t.index_attributes;
@@ -851,7 +837,8 @@ let freeze t ~epoch =
     tag_list = Tag_list.clone t.tag_list;
     (* No element index: the snapshot serves element sets from the
        cloned skeletons, through the shared versioned cache. *)
-    element_index = Element_index.create ~branching:t.branching ();
+    element_index = None;
+    elements = t.elements;
     synopsis = Path_synopsis.clone t.synopsis;
     cache = t.cache;
     next_sid = t.next_sid;
@@ -868,7 +855,6 @@ let freeze t ~epoch =
       };
     frozen = true;
     qepoch = epoch;
-    frozen_elems = !elems;
   }
 
 (* --- snapshots ------------------------------------------------------- *)
@@ -990,37 +976,31 @@ let load ?(backend = Storage_backend.Mem) ic =
   (* Root length is the sum of its children (it has no own text). *)
   t.root.len <- Vec.fold_left (fun acc (c : Er_node.t) -> acc + c.len) 0 t.root.children;
   t.live_segments <- segment_count_walk t;
-  (* Rebuild derived structures: element index and tag lists from the
-     skeletons, SB-tree from the ER-tree.  When attaching to a paged
-     store whose checkpoint matches this snapshot, the element index is
-     already durable and the per-element inserts are skipped entirely —
-     [full_check] below still cross-validates it against the skeletons.
-     Otherwise the keys are collected and merged in one sorted batch
-     (one bulk pass instead of a descent per element). *)
-  let attached =
+  (* Rebuild derived structures: element counter, paged element index
+     and tag lists from the skeletons, SB-tree from the ER-tree.  When
+     attaching to a paged store whose checkpoint matches this snapshot,
+     the element index is already durable and the per-element inserts
+     are skipped entirely — [full_check] below still cross-validates it
+     against the skeletons.  Otherwise the keys are collected and merged
+     in one sorted batch (one bulk pass instead of a descent per
+     element). *)
+  let build_index =
     match backend with
-    | Storage_backend.Paged { attach = true; _ } -> true
-    | _ -> false
+    | Storage_backend.Paged { attach; _ } -> not attach
+    | Storage_backend.Mem -> false
   in
   let ekeys = Vec.create () in
   Er_node.iter_subtree t.root (fun n ->
       if not (is_root n) then begin
-        let counts = Hashtbl.create 8 in
-        Vec.iter
-          (fun (e : elem) ->
-            if not attached then
-              Vec.push ekeys
-                { Element_index.tid = e.tid; sid = n.sid; start = e.start; stop = e.stop;
-                  level = e.level };
-            Hashtbl.replace counts e.tid
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts e.tid)))
-          n.elems;
+        t.elements <- t.elements + Vec.length n.elems;
+        if build_index then Vec.iter (fun e -> Vec.push ekeys (key_of n.sid e)) n.elems;
         let path = Er_node.path n in
         Hashtbl.iter
           (fun tid count -> Tag_list.append t.tag_list ~tid { Tag_list.sid = n.sid; path; count })
-          counts
+          (tag_counts n)
       end);
-  if not attached then Element_index.add_batch t.element_index (Vec.to_array ekeys);
+  if build_index then
+    Option.iter (fun idx -> Element_index.add_batch idx (Vec.to_array ekeys)) t.element_index;
   t.sb_dirty <- true;
   t.synopsis <- synopsis_of_tree t.root;
   ignore (refresh_er_depth t);

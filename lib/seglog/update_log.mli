@@ -1,14 +1,19 @@
-(** The in-memory update log (§3): SB-tree + ER-tree + tag-list +
-    element index, with the segment insertion and removal algorithms of
+(** The update log (§3): SB-tree + ER-tree + tag-list + element
+    store, with the segment insertion and removal algorithms of
     Figures 5 and 7.
 
     The super document starts empty (a dummy root).  [insert] adds a
     well-formed XML fragment at a global byte position; [remove]
     deletes a byte range that must itself be a well-formed fragment of
     the current document.  Existing element labels are never touched:
-    elements are keyed by [(tid, sid, local start)] in the element
-    index, and only the small per-segment bookkeeping (global
-    positions, lengths) moves.
+    elements are keyed by [(tid, sid, local start)], and only the small
+    per-segment bookkeeping (global positions, lengths) moves.
+
+    The element store is one structure per backend.  In memory it is
+    the segment skeletons themselves ({!Er_node.t}[.elems]); under
+    [Paged] storage it is the paged {!Element_index}, the paper's
+    disk-resident B{^+}-tree (§3.4).  The skeletons stay resident in
+    both cases.
 
     Two maintenance disciplines mirror the paper's experiments:
     {ul
@@ -37,12 +42,13 @@ val create :
 (** An empty super document. [mode] defaults to [Lazy_dynamic];
     [index_attributes] (default false) additionally indexes every
     attribute as a subelement named ["@name"] (§1: "attributes can be
-    considered as subelements"); [branching] is used for the SB-tree
-    and element index; [cache_bytes] is the read-side {!Seg_cache}
-    budget (default {!Seg_cache.default_max_bytes}, [<= 0] disables
-    caching); [backend] (default in-memory) puts the element index and
-    SB-tree on copy-on-write pages whose RAM residency is bounded by
-    the page store's buffer pool — the beyond-RAM path. *)
+    considered as subelements"); [branching] is the SB-tree's fan-out;
+    [cache_bytes] is the read-side {!Seg_cache} budget (default
+    {!Seg_cache.default_max_bytes}, [<= 0] disables caching);
+    [backend] (default in-memory) adds a paged {!Element_index} on
+    copy-on-write pages whose RAM residency is bounded by the page
+    store's buffer pool — the beyond-RAM path for the element store.
+    The SB-tree and the skeletons stay in memory either way. *)
 
 val mode : t -> mode
 val indexes_attributes : t -> bool
@@ -56,9 +62,10 @@ val segment_count_walk : t -> int
     {!check} (and the tests) assert the two agree. *)
 
 val element_count : t -> int
+(** Live elements — an O(1) counter kept by insert, remove and load. *)
+
 val root : t -> Er_node.t
 val registry : t -> Tag_registry.t
-val element_index : t -> Element_index.t
 val metrics : t -> metrics
 
 val insert : t -> gp:int -> string -> int
@@ -77,8 +84,8 @@ val insert_batch :
     them one at a time with {!insert} — but with batched index
     maintenance: all fragments are parsed and labelled first (fanned
     out over [pool] when given — parsing is pure), then the ER-tree
-    edits are applied serially, followed by {e one} element-index bulk
-    merge, {e one} SB-tree batch insert and {e one} tag-list merge
+    edits are applied serially, followed by {e one} paged element-index
+    bulk merge, {e one} SB-tree batch insert and {e one} tag-list merge
     pass over a single gp table (under [Lazy_dynamic]; [Lazy_static]
     defers those to {!prepare_for_query} as usual).
 
@@ -121,13 +128,17 @@ val segments_for_tag : t -> tag:string -> Tag_list.entry array
     order (the [SL] input lists of Lazy-Join). *)
 
 val elements_of : t -> tid:int -> sid:int -> Element_index.key array
-(** Elements of one tag in one segment, in local order.  Always scans
-    the element index directly (no caching) — the reference path. *)
+(** Elements of one tag in one segment, in local order, read straight
+    from the element store (no caching) — the reference path.  In
+    memory and on frozen snapshots that is the segment's skeleton,
+    found through the SB-tree (under [Lazy_static], call
+    {!prepare_for_query} first); under [Paged] storage it is a prefix
+    scan of the element index.  A removed sid has no elements. *)
 
 val elements_cols : t -> tid:int -> sid:int -> Seg_cache.cols
 (** Columnar variant of {!elements_of}, fetched through the log's
     {!Seg_cache}: a hit returns the cached struct-of-arrays snapshot;
-    a miss scans the element index once and caches the result.
+    a miss reads the element store once and caches the result.
     Updates ([insert]/[remove]) bump the epochs of exactly the touched
     segments, so a returned snapshot always reflects the current log
     state.  Snapshots are immutable — callers must not mutate the
@@ -164,7 +175,12 @@ val global_elements : t -> tag:string -> (int * int * int) list
 val sb_size_bytes : t -> int
 val tag_list_size_bytes : t -> int
 val size_bytes : t -> int
-(** Total update-log footprint (Figure 11a). *)
+(** Total update-log footprint (Figure 11a): SB-tree plus tag-list. *)
+
+val element_store_bytes : t -> int
+(** Footprint of the element store: the paged index's page bytes, or
+    in memory 5 words (40 B) per skeleton element — the per-key rate of
+    an index over the same records. *)
 
 val freeze : t -> epoch:int -> t
 (** [freeze t ~epoch] returns an immutable snapshot of [t] pinned at
@@ -173,8 +189,9 @@ val freeze : t -> epoch:int -> t
     {e sharing} [t]'s {!Seg_cache} — its columnar lookups and fills go
     through {!Seg_cache.find_at} at the pinned epoch, so the snapshot
     keeps reading retired versions while the live log moves on.  The
-    snapshot carries no element index; {!elements_of} and cache misses
-    materialize from the cloned segment skeletons instead.  The clone
+    snapshot carries no element index, even when [t] is paged;
+    {!elements_of} and cache misses read the cloned segment skeletons,
+    as an in-memory log does.  The clone
     is query-ready ([prepare_for_query] is run first, so an LS source
     log is brought current) and every update entry point raises
     [Invalid_argument] on it.  O(segments + tag-list entries); element
@@ -187,8 +204,9 @@ val epoch : t -> int
     {!Seg_cache.latest} on a live log. *)
 
 val check : t -> unit
-(** Full invariant check across the ER-tree, SB-tree, element index
-    and tag-list (test helper). @raise Failure on violation. *)
+(** Full invariant check across the ER-tree, SB-tree, element counter,
+    paged element index and tag-list (test helper).
+    @raise Failure on violation. *)
 
 val save : t -> out_channel -> unit
 (** Serializes the complete log — segment tree with virtual
@@ -198,7 +216,7 @@ val save : t -> out_channel -> unit
 
 val load : ?backend:Lxu_btree.Storage_backend.spec -> in_channel -> t
 (** Restores a log written by {!save}; derived structures (SB-tree,
-    element index, tag lists) are rebuilt from the segment data.
+    paged element index, tag lists) are rebuilt from the segment data.
     With [Paged { attach = true; _ }] the element index is {e not}
     rebuilt — the durable paged tree is reopened as-is, which is only
     sound when the page store's checkpoint LSN matches this snapshot

@@ -94,6 +94,8 @@ let parse_reference st buf =
           else int_of_string (String.sub body 1 (String.length body - 1))
         with _ -> fail start "bad character reference &%s;" body
       in
+      if code < 0 || code > 0x10FFFF then
+        fail start "character reference &%s; is outside Unicode" body;
       if code < 0x80 then Buffer.add_char buf (Char.chr code)
       else begin
         (* Minimal UTF-8 encoder for the few non-ASCII references the

@@ -102,6 +102,25 @@ let fingerprint db =
     vocabulary;
   Buffer.contents buf
 
+let element_records db =
+  let buf = Buffer.create 512 in
+  (match Lazy_db.log db with
+  | Some log ->
+    let open Lxu_seglog in
+    Update_log.prepare_for_query log;
+    let reg = Update_log.registry log in
+    for tid = 0 to Tag_registry.count reg - 1 do
+      Array.iter
+        (fun (e : Tag_list.entry) ->
+          Array.iter
+            (fun (k : Element_index.key) ->
+              Printf.bprintf buf "|%d,%d,%d,%d,%d" k.tid k.sid k.start k.stop k.level)
+            (Update_log.elements_of log ~tid ~sid:e.sid))
+        (Update_log.segments_for_tag log ~tag:(Tag_registry.name reg tid))
+    done
+  | None -> ());
+  Buffer.contents buf
+
 (* --- filesystem helpers ---------------------------------------------- *)
 
 let fresh_dir =

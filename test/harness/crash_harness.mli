@@ -44,6 +44,12 @@ val fingerprint : Lazy_xml.Lazy_db.t -> string
 (** Text, element/segment counts, and all-pairs join output over the
     vocabulary (both axes) — equality means query-indistinguishable. *)
 
+val element_records : Lazy_xml.Lazy_db.t -> string
+(** Every [(tid, sid, start, stop, level)] record of the element store,
+    read through [Update_log.elements_of] for each (tag, segment) in
+    tag-list order — equality means the two element stores agree.
+    Empty for the STD engine. *)
+
 (** {2 Shared plumbing}
 
     The filesystem and differential helpers the other crash-style

@@ -1,5 +1,6 @@
 (* Tests for the element index: key ordering, per-segment scans,
-   deletion bookkeeping. *)
+   deletion bookkeeping — over an in-memory page store with small
+   pages, so a few hundred keys already build a multi-level tree. *)
 
 open Lxu_seglog
 
@@ -8,8 +9,13 @@ let check_bool = Alcotest.(check bool)
 
 let key ~tid ~sid ~start ~stop ~level = { Element_index.tid; sid; start; stop; level }
 
+let fresh () =
+  Element_index.create
+    (Lxu_storage.Page_store.create ~device:(Lxu_storage.Sim_file.in_memory ()) ~page_size:512 ())
+    ~attach:false
+
 let sample () =
-  let idx = Element_index.create ~branching:4 () in
+  let idx = fresh () in
   List.iter (Element_index.add idx)
     [
       key ~tid:1 ~sid:1 ~start:0 ~stop:20 ~level:0;
@@ -58,25 +64,6 @@ let test_remove () =
     (Element_index.remove idx (key ~tid:1 ~sid:1 ~start:3 ~stop:9 ~level:1));
   check_int "size" 4 (Element_index.size idx)
 
-let test_accesses_counted () =
-  let idx = sample () in
-  let before = Element_index.accesses idx in
-  ignore (Element_index.elements_of_segment idx ~tid:1 ~sid:1);
-  check_bool "counted" true (Element_index.accesses idx > before)
-
-let test_accesses_exact () =
-  let idx = sample () in
-  (* tid 1 / sid 1 holds two records, and the tree has keys past them:
-     the scan must count exactly the matching records, not the
-     terminating sentinel key. *)
-  let before = Element_index.accesses idx in
-  ignore (Element_index.elements_of_segment idx ~tid:1 ~sid:1);
-  check_int "exact accesses" 2 (Element_index.accesses idx - before);
-  (* An empty scan touches no records at all. *)
-  let before = Element_index.accesses idx in
-  ignore (Element_index.elements_of_segment idx ~tid:2 ~sid:2);
-  check_int "empty scan free" 0 (Element_index.accesses idx - before)
-
 let test_cols_of_segment () =
   let idx = sample () in
   let c = Element_index.cols_of_segment idx ~tid:1 ~sid:1 in
@@ -94,7 +81,7 @@ let test_iter_all () =
   check_int "all" 5 !n
 
 let test_many_records () =
-  let idx = Element_index.create ~branching:4 () in
+  let idx = fresh () in
   for sid = 1 to 20 do
     for i = 0 to 49 do
       Element_index.add idx (key ~tid:(i mod 3) ~sid ~start:(i * 10) ~stop:((i * 10) + 5) ~level:0)
@@ -113,8 +100,6 @@ let suite =
     Alcotest.test_case "segment scan isolation" `Quick test_segment_scan_isolation;
     Alcotest.test_case "early stop" `Quick test_early_stop;
     Alcotest.test_case "remove" `Quick test_remove;
-    Alcotest.test_case "accesses counted" `Quick test_accesses_counted;
-    Alcotest.test_case "accesses exact (no sentinel)" `Quick test_accesses_exact;
     Alcotest.test_case "cols_of_segment" `Quick test_cols_of_segment;
     Alcotest.test_case "iter_all" `Quick test_iter_all;
     Alcotest.test_case "many records" `Quick test_many_records;

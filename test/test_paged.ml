@@ -228,6 +228,10 @@ let test_db_paged_matches_mem () =
           Lazy_db.check paged;
           H.check ~ctx:(Printf.sprintf "paged seed %d domains %d" seed domains)
             (H.fingerprint mem) paged;
+          (* The two element stores — skeletons in memory, the paged
+             index — hold the same records. *)
+          check_string (Printf.sprintf "element records seed %d domains %d" seed domains)
+            (H.element_records mem) (H.element_records paged);
           (* Maintenance over the paged store: rebuild re-indexes into
              fresh pages and must change nothing observable (both sides
              rebuilt — the fingerprint includes the segment count). *)

@@ -11,21 +11,17 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* Query-visible state plus the raw element index: document text,
-   counts, every (tid, sid, start, stop, level) key in index order,
-   and the full all-pairs join output over [tags] on both axes.
+(* Query-visible state plus the raw element store: document text,
+   counts, every (tid, sid, start, stop, level) record of every (tag,
+   segment) read through [Update_log.elements_of], and the full
+   all-pairs join output over [tags] on both axes.
    Equality of two fingerprints means the two databases cannot be told
    apart by any supported query. *)
 let fingerprint ~tags db =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Lazy_db.text db);
   Printf.bprintf b "|elems=%d|segs=%d" (Lazy_db.element_count db) (Lazy_db.segment_count db);
-  (match Lazy_db.log db with
-  | Some log ->
-    Element_index.iter_all (Update_log.element_index log) (fun k ->
-        Printf.bprintf b "|%d,%d,%d,%d,%d" k.Element_index.tid k.Element_index.sid
-          k.Element_index.start k.Element_index.stop k.Element_index.level)
-  | None -> ());
+  Buffer.add_string b (H.element_records db);
   List.iter
     (fun anc ->
       List.iter
@@ -57,32 +53,35 @@ let xmark_edits shape =
 (* --- batched = sequential ------------------------------------------- *)
 
 let test_batch_equals_sequential () =
-  let run ~engine ~domains ~batch ~shape =
+  let run ~engine ~storage ~domains ~batch ~shape =
     let edits = xmark_edits shape in
-    let seq_db = Lazy_db.create ~engine ~domains () in
+    let seq_db = Lazy_db.create ~engine ~storage ~domains () in
     List.iter (fun (gp, frag) -> Lazy_db.insert seq_db ~gp frag) edits;
-    let batch_db = Lazy_db.create ~engine ~domains () in
+    let batch_db = Lazy_db.create ~engine ~storage ~domains () in
     List.iter (Lazy_db.insert_many batch_db) (chunks batch edits);
     Lazy_db.check batch_db;
     let ctx =
-      Printf.sprintf "%s domains=%d batch=%d %s"
+      Printf.sprintf "%s %s domains=%d batch=%d %s"
         (match engine with Lazy_db.LD -> "LD" | Lazy_db.LS -> "LS" | Lazy_db.STD -> "STD")
+        (match storage with `Mem -> "mem" | `Paged -> "paged")
         domains batch
         (match shape with Lxu_workload.Chopper.Balanced -> "balanced" | Nested -> "nested")
     in
-    check_string ctx (fingerprint ~tags:xmark_tags seq_db) (fingerprint ~tags:xmark_tags batch_db)
+    check_string ctx (fingerprint ~tags:xmark_tags seq_db) (fingerprint ~tags:xmark_tags batch_db);
+    Lazy_db.close seq_db;
+    Lazy_db.close batch_db
   in
   List.iter
-    (fun engine ->
+    (fun (engine, storage) ->
       List.iter
         (fun domains ->
           List.iter
-            (fun batch -> run ~engine ~domains ~batch ~shape:Lxu_workload.Chopper.Balanced)
+            (fun batch -> run ~engine ~storage ~domains ~batch ~shape:Lxu_workload.Chopper.Balanced)
             [ 2; 7; 64 ])
         [ 1; 4 ];
-      (* The chain-shaped worst-case ER-tree, once per engine. *)
-      run ~engine ~domains:1 ~batch:7 ~shape:Lxu_workload.Chopper.Nested)
-    [ Lazy_db.LD; Lazy_db.LS ]
+      (* The chain-shaped worst-case ER-tree, once per engine and backend. *)
+      run ~engine ~storage ~domains:1 ~batch:7 ~shape:Lxu_workload.Chopper.Nested)
+    [ (Lazy_db.LD, `Mem); (Lazy_db.LS, `Mem); (Lazy_db.LD, `Paged); (Lazy_db.LS, `Paged) ]
 
 (* One-element batch and whole-schedule batch behave too. *)
 let test_batch_extremes () =

@@ -256,7 +256,9 @@ let test_entity_edge_cases () =
   check_string "two-byte utf8" "\xc3\xa9" (one "<a>&#233;</a>");
   check_string "three-byte utf8" "\xe2\x82\xac" (one "<a>&#8364;</a>");
   expect_error "<a>&#xZZ;</a>";
-  expect_error "<a>&;</a>"
+  expect_error "<a>&;</a>";
+  expect_error "<a>&#-5;</a>";
+  expect_error "<a>&#99999999;</a>"
 
 let test_whitespace_in_tags () =
   let e = root_element "<a   x = \"1\"   ></a>" in
