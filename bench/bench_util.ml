@@ -137,7 +137,7 @@ let load_store edits =
 
 (* The three query timers used across figures; all measure the join
    itself, on label pairs, the way the paper does.  The LS timer
-   includes the pre-query sort/rebuild that discipline defers. *)
+   includes the pre-query tag-list sort that discipline defers. *)
 let time_ld log ~anc ~desc =
   Lxu_seglog.Update_log.prepare_for_query log;
   measure (fun () -> ignore (Lxu_join.Lazy_join.run log ~anc ~desc ()))

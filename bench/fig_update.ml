@@ -3,10 +3,9 @@
    The workload is the paper's §5.1 setting pushed to where per-insert
    bookkeeping dominates: an XMark-like document chopped into ~1024
    small segments (Chopper Balanced), ingested into an empty database.
-   Each unbatched insert pays its own SB-tree insert, gp-table
-   construction and sorted tag-list maintenance — O(segments) work per
-   edit — while the batched path (Update_log.insert_batch) pays each
-   of those once per batch.  The sweep: engine LD/LS x batch size
+   Each unbatched insert pays its own sorted tag-list maintenance —
+   O(segments) work per edit — while the batched path
+   (Update_log.insert_batch) pays one tag-list merge per batch.  The sweep: engine LD/LS x batch size
    1/8/64/512 x WAL off/on; batch 1 uses Lazy_db.insert, larger sizes
    feed consecutive chunks to Lazy_db.insert_many.
 
@@ -20,8 +19,8 @@ open Lazy_xml
 
 (* Small document, many segments: ~200 bytes per segment keeps the
    per-element costs (parsing, element-index descent) minor next to
-   the per-insert O(segments) bookkeeping — gp-table construction and
-   sorted tag-list maintenance — that batching amortizes. *)
+   the per-insert O(segments) bookkeeping — sorted tag-list
+   maintenance — that batching amortizes. *)
 let persons = 300 * Bench_util.scale
 let target_segments = 1_024 * Bench_util.scale
 let repeat = 3

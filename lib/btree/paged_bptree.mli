@@ -1,5 +1,8 @@
 (** Page-backed B+-tree over a copy-on-write
-    {!Lxu_storage_core.Page_store} — the big-data twin of {!Bptree}.
+    {!Lxu_storage_core.Page_store} — the disk-resident element index
+    of the paper's §3.4, and the only B+-tree in the code base (the
+    in-memory SB-tree is a sid-keyed hash table, since nothing scans
+    sids in order).
 
     Keys are fixed-width int tuples ([kw] words, lexicographic order);
     values fixed [vw]-word tuples, stored inline.  All node bytes live
@@ -7,7 +10,7 @@
     the tree itself can exceed memory.
 
     Deletion is lazy (no rebalancing; empty nodes unlink, the root
-    collapses), mirroring {!Bptree}; bulk loads pack leaves full.
+    collapses); bulk loads pack leaves full.
     Insert has replace semantics on duplicate keys.
 
     Mutations follow the store's COW protocol: changed nodes relocate

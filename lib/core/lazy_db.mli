@@ -8,8 +8,9 @@
     {ul
     {- [LD] (lazy dynamic): the update log of §3 kept query-ready on
        every update; queries run Lazy-Join (§4.2).}
-    {- [LS] (lazy static): updates maintain only the ER-tree; tag lists
-       are sorted and the SB-tree rebuilt at query time (§5.1).}
+    {- [LS] (lazy static): updates append to the tag lists unsorted;
+       they are sorted at query time (§5.1).  The SB-tree, a sid-keyed
+       hash table, is exact under both lazy engines.}
     {- [STD] (traditional): global interval labels relabelled on every
        update; queries run Stack-Tree-Desc — the baseline the paper
        compares against.}}

@@ -1,8 +1,6 @@
 open Lxu_util
 open Lxu_btree
 
-module Sb = Bptree.Make (Int)
-
 type mode = Lazy_dynamic | Lazy_static
 
 type metrics = {
@@ -18,8 +16,10 @@ type t = {
   index_attributes : bool;
   registry : Tag_registry.t;
   root : Er_node.t;
-  mutable sb : Er_node.t Sb.t;
-  mutable sb_dirty : bool;
+  sb : (int, Er_node.t) Hashtbl.t;
+      (* The SB-tree: sid -> ER node, the dummy root included.  Exact
+         after every update under both LD and LS (each update is O(1)
+         here); no query scans sids in order, so no ordered index. *)
   tag_list : Tag_list.t;
   element_index : Element_index.t option;
       (* Paged storage only: in memory the segment skeletons are the
@@ -33,25 +33,23 @@ type t = {
   (* Deepest ER chain (edges below the dummy root): a high-water mark
      bumped on insert and re-anchored to the exact value by every
      [fragmented_subtrees] scan (removes never lower it on their own). *)
-  branching : int;
   metrics : metrics;
   frozen : bool;  (* immutable snapshot produced by [freeze] *)
   qepoch : int;  (* cache epoch for lookups/fills: the snapshot's pinned
                     epoch, or [Seg_cache.latest] on the mutable side *)
 }
 
-let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32) ?cache_bytes
+let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?cache_bytes
     ?(backend = Storage_backend.Mem) () =
   let root = Er_node.make_root () in
-  let sb = Sb.create ~branching () in
-  Sb.insert sb 0 root;
+  let sb = Hashtbl.create 64 in
+  Hashtbl.replace sb 0 root;
   {
     mode;
     index_attributes;
     registry = Tag_registry.create ();
     root;
     sb;
-    sb_dirty = false;
     tag_list = Tag_list.create ();
     element_index =
       (match backend with
@@ -63,7 +61,6 @@ let create ?(mode = Lazy_dynamic) ?(index_attributes = false) ?(branching = 32) 
     next_sid = 1;
     live_segments = 0;
     er_depth = 0;
-    branching;
     metrics =
       {
         gp_shifts = 0;
@@ -113,12 +110,9 @@ let tag_list t = t.tag_list
 let cache t = t.cache
 let synopsis t = t.synopsis
 
-(* gp resolution used to keep tag lists sorted; walks the ER-tree
-   structures already in memory, independent of SB-tree freshness. *)
-let gp_table t =
-  let table = Hashtbl.create 256 in
-  Er_node.iter_subtree t.root (fun n -> Hashtbl.replace table n.Er_node.sid n.Er_node.gp);
-  fun sid -> Hashtbl.find table sid
+(* gp resolution used to keep tag lists sorted: one SB lookup, since
+   the table is exact under both disciplines. *)
+let gp_of t sid = (Hashtbl.find t.sb sid).Er_node.gp
 
 (* From-scratch path synopsis of an ER-tree: the incremental oracle
    (used by [load], [check] and the tests).  Context chains come from
@@ -288,10 +282,8 @@ let insert t ~gp text =
         List.rev !elems)
   in
   let sid = node.sid in
-  (* Step 5: SB-tree (kept fresh only under LD). *)
-  (match t.mode with
-  | Lazy_dynamic -> Sb.insert t.sb sid node
-  | Lazy_static -> t.sb_dirty <- true);
+  (* Step 5: SB-tree. *)
+  Hashtbl.replace t.sb sid node;
   (* Step 6: element store — the skeleton just linked, plus the paged
      index. *)
   t.elements <- t.elements + Vec.length node.elems;
@@ -301,12 +293,11 @@ let insert t ~gp text =
   (* Step 7: tag-list, one path entry per distinct tag in the segment. *)
   let counts = tag_counts node in
   let path = Er_node.path node in
-  let gp_of = lazy (gp_table t) in
   Hashtbl.iter
     (fun tid count ->
       let entry = { Tag_list.sid; path; count } in
       match t.mode with
-      | Lazy_dynamic -> Tag_list.add_sorted t.tag_list ~tid entry ~gp_of:(Lazy.force gp_of)
+      | Lazy_dynamic -> Tag_list.add_sorted t.tag_list ~tid entry ~gp_of:(gp_of t)
       | Lazy_static -> Tag_list.append t.tag_list ~tid entry)
     counts;
   t.metrics.segments_inserted <- t.metrics.segments_inserted + 1;
@@ -357,9 +348,8 @@ let insert_batch ?pool t edits =
       | _ -> Array.init b label
     in
     (* Serial ER-tree application.  Index maintenance is deferred:
-       instead of B SB-tree descents, B paged element-index insert runs
-       and B tag-list passes, the batch pays one bulk merge into each. *)
-    let sb_pairs = ref [] in
+       instead of B paged element-index insert runs and B tag-list
+       passes, the batch pays one bulk merge into each. *)
     let ekeys = Vec.create () in
     let sids = ref [] in
     Array.iteri
@@ -376,9 +366,7 @@ let insert_batch ?pool t edits =
                      }))
         in
         let sid = node.sid in
-        (match t.mode with
-        | Lazy_dynamic -> sb_pairs := (sid, node) :: !sb_pairs
-        | Lazy_static -> t.sb_dirty <- true);
+        Hashtbl.replace t.sb sid node;
         t.elements <- t.elements + Vec.length node.elems;
         if Option.is_some t.element_index then
           Vec.iter (fun e -> Vec.push ekeys (key_of sid e)) node.elems;
@@ -394,12 +382,9 @@ let insert_batch ?pool t edits =
     Option.iter (fun idx -> Element_index.add_batch idx (Vec.to_array ekeys)) t.element_index;
     (match t.mode with
     | Lazy_dynamic ->
-      (* One SB-tree batch insert — sids were assigned in ascending
-         order, so the pairs are already sorted — and one tag-list
-         merge over a single gp table, restoring the LD query-ready
-         invariant with one pass instead of B. *)
-      Sb.insert_sorted_batch t.sb (Array.of_list (List.rev !sb_pairs));
-      Tag_list.sort_all t.tag_list ~gp_of:(gp_table t)
+      (* One tag-list merge, restoring the LD query-ready invariant
+         with one pass instead of B. *)
+      Tag_list.sort_all t.tag_list ~gp_of:(gp_of t)
     | Lazy_static -> ());
     List.rev !sids
 
@@ -482,9 +467,7 @@ let remove t ~gp ~len =
         removed_sids := n.sid :: !removed_sids;
         Path_synopsis.remove_segment t.synopsis ~sid:n.sid ~elems:n.elems;
         Vec.iter (drop_elem n.sid) n.elems;
-        match t.mode with
-        | Lazy_dynamic -> ignore (Sb.remove t.sb n.sid)
-        | Lazy_static -> t.sb_dirty <- true)
+        Hashtbl.remove t.sb n.sid)
   in
   (* Removes virtual range [vu, vv) of [s]'s own text: tombstone it and
      drop the elements it covered. *)
@@ -608,26 +591,12 @@ let remove t ~gp ~len =
 
 let mark_stale t =
   frozen_guard t "Update_log.mark_stale";
-  t.sb_dirty <- true;
   Tag_list.mark_dirty t.tag_list
 
 let prepare_for_query t =
-  if t.sb_dirty then begin
-    (* Bulk SB rebuild: collect (sid, node) pairs, sort by sid, and
-       bottom-up load — one O(n log n) sort instead of n tree
-       descents with splits. *)
-    let pairs = Vec.create () in
-    Er_node.iter_subtree t.root (fun n -> Vec.push pairs (n.Er_node.sid, n));
-    let pairs = Vec.to_array pairs in
-    Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
-    t.sb <- Sb.of_sorted ~branching:t.branching pairs;
-    t.sb_dirty <- false
-  end;
-  if Tag_list.is_dirty t.tag_list then Tag_list.sort_all t.tag_list ~gp_of:(gp_table t)
+  if Tag_list.is_dirty t.tag_list then Tag_list.sort_all t.tag_list ~gp_of:(gp_of t)
 
-let node_of_sid t sid =
-  if t.sb_dirty then failwith "Update_log.node_of_sid: stale SB-tree, call prepare_for_query";
-  match Sb.find t.sb sid with Some n -> n | None -> raise Not_found
+let node_of_sid t sid = Hashtbl.find t.sb sid
 
 let segments_for_tag t ~tag =
   match Tag_registry.find t.registry tag with
@@ -746,6 +715,18 @@ let element_store_bytes t =
 
 let check t =
   Er_node.check t.root;
+  (* The SB table agrees with the ER-tree walk, under LD and LS alike
+     (checked first: the tag-list sort below resolves gps through it). *)
+  let live = ref 0 in
+  Er_node.iter_subtree t.root (fun n ->
+      incr live;
+      match Hashtbl.find_opt t.sb n.Er_node.sid with
+      | Some m when m == n -> ()
+      | _ -> failwith (Printf.sprintf "SB-tree misses segment %d" n.Er_node.sid));
+  if Hashtbl.length t.sb <> !live then
+    failwith
+      (Printf.sprintf "SB-tree holds %d entries, ER-tree has %d segments" (Hashtbl.length t.sb)
+         !live);
   (* The element counter and the paged element index agree with the
      per-segment skeletons. *)
   let skeleton_count = ref 0 in
@@ -763,7 +744,7 @@ let check t =
     t.element_index;
   (* Tag-list counts agree with the skeletons (sorting first: LS lists
      may be dirty, and sorting does not change their contents). *)
-  Tag_list.sort_all t.tag_list ~gp_of:(gp_table t);
+  Tag_list.sort_all t.tag_list ~gp_of:(gp_of t);
   let counts = Hashtbl.create 64 in
   Er_node.iter_subtree t.root (fun n ->
       Vec.iter
@@ -794,16 +775,6 @@ let check t =
       if not (Hashtbl.mem counts key) then
         failwith (Printf.sprintf "tag-list has stale entry (tid %d, sid %d)" (fst key) (snd key)))
     listed;
-  (* SB-tree agrees with the ER-tree under LD. *)
-  if t.mode = Lazy_dynamic && not t.sb_dirty then begin
-    let live = ref 0 in
-    Er_node.iter_subtree t.root (fun n ->
-        incr live;
-        match Sb.find t.sb n.Er_node.sid with
-        | Some m when m == n -> ()
-        | _ -> failwith (Printf.sprintf "SB-tree misses segment %d" n.Er_node.sid));
-    if Sb.length t.sb <> !live then failwith "SB-tree holds stale segments"
-  end;
   (* The live segment counter agrees with the ER-tree walk. *)
   if t.live_segments <> segment_count_walk t then
     failwith
@@ -822,18 +793,16 @@ let freeze t ~epoch =
      the clone is query-ready without ever needing to mutate. *)
   prepare_for_query t;
   let root = Er_node.clone t.root in
-  let pairs = Vec.create () in
-  Er_node.iter_subtree root (fun n -> Vec.push pairs (n.Er_node.sid, n));
-  let pairs = Vec.to_array pairs in
-  Array.sort (fun (a, _) (b, _) -> Int.compare a b) pairs;
-  let sb = Sb.of_sorted ~branching:t.branching pairs in
+  (* A fresh table over the cloned nodes, never mutated afterwards:
+     readers of the snapshot look sids up without a lock. *)
+  let sb = Hashtbl.create (t.live_segments + 1) in
+  Er_node.iter_subtree root (fun n -> Hashtbl.replace sb n.Er_node.sid n);
   {
     mode = t.mode;
     index_attributes = t.index_attributes;
     registry = Tag_registry.clone t.registry;
     root;
     sb;
-    sb_dirty = false;
     tag_list = Tag_list.clone t.tag_list;
     (* No element index: the snapshot serves element sets from the
        cloned skeletons, through the shared versioned cache. *)
@@ -844,7 +813,6 @@ let freeze t ~epoch =
     next_sid = t.next_sid;
     live_segments = t.live_segments;
     er_depth = t.er_depth;
-    branching = t.branching;
     metrics =
       {
         gp_shifts = t.metrics.gp_shifts;
@@ -902,8 +870,10 @@ let load ?(backend = Storage_backend.Mem) ic =
   let open Er_node in
   (* Every refusal is a [Failure] naming the byte offset — callers
      (Lazy_db.load, Recovery.read_snapshot) prepend the file path.
-     Nothing in here may escape as End_of_file or Invalid_argument:
-     a truncated or hostile snapshot must never look like a crash. *)
+     Nothing in here may escape as End_of_file, Invalid_argument or
+     Out_of_memory: a truncated or hostile snapshot must never look
+     like a crash, and no count or length read from it sizes an
+     allocation before the bytes behind it are known to exist. *)
   let fail fmt =
     Printf.ksprintf
       (fun msg -> failwith (Printf.sprintf "%s (snapshot byte %d)" msg (pos_in ic)))
@@ -918,6 +888,8 @@ let load ?(backend = Storage_backend.Mem) ic =
   in
   let input_exactly n what =
     if n < 0 then fail "negative %s length %d" what n;
+    let left = in_channel_length ic - pos_in ic in
+    if n > left then fail "snapshot truncated: %d-byte %s, %d bytes left" n what left;
     try really_input_string ic n
     with End_of_file -> fail "snapshot truncated reading %d-byte %s" n what
   in
@@ -939,13 +911,17 @@ let load ?(backend = Storage_backend.Mem) ic =
   done;
   let seg_count = scan "segments %d" Fun.id in
   if seg_count < 0 then fail "negative segment count %d" seg_count;
-  let by_sid = Hashtbl.create (seg_count + 1) in
-  Hashtbl.add by_sid 0 t.root;
+  (* Segments fill the SB table directly (it already maps sid 0 to the
+     dummy root); it grows with the segments actually read. *)
+  let max_sid = ref 0 in
   for _ = 1 to seg_count do
     let sid, parent_sid, gp, len, lp, base_level, orig_len, n_tomb, n_elems =
       scan "seg %d %d %d %d %d %d %d %d %d" (fun a b c d e f g h i ->
           (a, b, c, d, e, f, g, h, i))
     in
+    if sid <= 0 then fail "segment id %d is not positive (0 is the dummy root)" sid;
+    if Hashtbl.mem t.sb sid then fail "duplicate segment id %d" sid;
+    if sid > !max_sid then max_sid := sid;
     if n_tomb < 0 || n_elems < 0 then fail "negative record count in segment %d" sid;
     let text = input_exactly orig_len "segment text" in
     (match input_char ic with
@@ -962,22 +938,27 @@ let load ?(backend = Storage_backend.Mem) ic =
       let start, stop, level, tid =
         scan "e %d %d %d %d" (fun a b c d -> (a, b, c, d))
       in
+      if tid < 0 || tid >= tag_count then
+        fail "element of segment %d has tag id %d, outside [0, %d)" sid tid tag_count;
       Vec.push node.elems { start; stop; level; tid }
     done;
     let parent =
-      match Hashtbl.find_opt by_sid parent_sid with
+      match Hashtbl.find_opt t.sb parent_sid with
       | Some p -> p
       | None -> fail "segment %d arrives before its parent %d" sid parent_sid
     in
     node.parent <- Some parent;
     Vec.push parent.children node;
-    Hashtbl.add by_sid sid node
+    Hashtbl.add t.sb sid node
   done;
+  (* The next insert takes sid [next_sid]: it must not reuse one. *)
+  if next_sid <= !max_sid then
+    fail "next_sid %d does not exceed the largest segment id %d" next_sid !max_sid;
   (* Root length is the sum of its children (it has no own text). *)
   t.root.len <- Vec.fold_left (fun acc (c : Er_node.t) -> acc + c.len) 0 t.root.children;
   t.live_segments <- segment_count_walk t;
   (* Rebuild derived structures: element counter, paged element index
-     and tag lists from the skeletons, SB-tree from the ER-tree.  When
+     and tag lists from the skeletons.  When
      attaching to a paged store whose checkpoint matches this snapshot,
      the element index is already durable and the per-element inserts
      are skipped entirely — [full_check] below still cross-validates it
@@ -1001,7 +982,6 @@ let load ?(backend = Storage_backend.Mem) ic =
       end);
   if build_index then
     Option.iter (fun idx -> Element_index.add_batch idx (Vec.to_array ekeys)) t.element_index;
-  t.sb_dirty <- true;
   t.synopsis <- synopsis_of_tree t.root;
   ignore (refresh_er_depth t);
   prepare_for_query t;

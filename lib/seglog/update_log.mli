@@ -15,13 +15,19 @@
     disk-resident B{^+}-tree (§3.4).  The skeletons stay resident in
     both cases.
 
+    The SB-tree (§3.2) maps a sid to its ER node.  Here it is a
+    sid-keyed hash table: the log uses only point lookups, inserts and
+    removes, and no query scans sids in order, so the paper's
+    B{^+}-tree would add ordered-scan machinery nothing reads.  Each
+    update costs O(1) in the table, so it is kept exact on every
+    insert, batch, remove and load under both disciplines.
+
     Two maintenance disciplines mirror the paper's experiments:
     {ul
-    {- [Lazy_dynamic] (LD): the SB B{^+}-tree and the tag-list are kept
-       query-ready on every update.}
-    {- [Lazy_static] (LS): updates only maintain the ER-tree; the
-       SB-tree is rebuilt and tag lists sorted by
-       {!prepare_for_query}.}} *)
+    {- [Lazy_dynamic] (LD): the tag-list is kept sorted on every
+       update.}
+    {- [Lazy_static] (LS): updates append to the tag-list unsorted;
+       {!prepare_for_query} sorts it before the next query.}} *)
 
 type mode = Lazy_dynamic | Lazy_static
 
@@ -37,18 +43,18 @@ type metrics = {
 type t
 
 val create :
-  ?mode:mode -> ?index_attributes:bool -> ?branching:int -> ?cache_bytes:int ->
+  ?mode:mode -> ?index_attributes:bool -> ?cache_bytes:int ->
   ?backend:Lxu_btree.Storage_backend.spec -> unit -> t
 (** An empty super document. [mode] defaults to [Lazy_dynamic];
     [index_attributes] (default false) additionally indexes every
     attribute as a subelement named ["@name"] (§1: "attributes can be
-    considered as subelements"); [branching] is the SB-tree's fan-out;
-    [cache_bytes] is the read-side {!Seg_cache} budget (default
-    {!Seg_cache.default_max_bytes}, [<= 0] disables caching);
+    considered as subelements"); [cache_bytes] is the read-side
+    {!Seg_cache} budget (default {!Seg_cache.default_max_bytes},
+    [<= 0] disables caching);
     [backend] (default in-memory) adds a paged {!Element_index} on
     copy-on-write pages whose RAM residency is bounded by the page
     store's buffer pool — the beyond-RAM path for the element store.
-    The SB-tree and the skeletons stay in memory either way. *)
+    The SB table and the skeletons stay in memory either way. *)
 
 val mode : t -> mode
 val indexes_attributes : t -> bool
@@ -84,10 +90,10 @@ val insert_batch :
     them one at a time with {!insert} — but with batched index
     maintenance: all fragments are parsed and labelled first (fanned
     out over [pool] when given — parsing is pure), then the ER-tree
-    edits are applied serially, followed by {e one} paged element-index
-    bulk merge, {e one} SB-tree batch insert and {e one} tag-list merge
-    pass over a single gp table (under [Lazy_dynamic]; [Lazy_static]
-    defers those to {!prepare_for_query} as usual).
+    edits are applied serially (each adding its sid to the SB table),
+    followed by {e one} paged element-index bulk merge and {e one}
+    tag-list merge pass (under [Lazy_dynamic]; [Lazy_static] defers the
+    sort to {!prepare_for_query} as usual).
 
     All-or-nothing: every edit is validated before anything is
     mutated.  [gp] bounds are checked against the document as it will
@@ -110,18 +116,20 @@ val remove : t -> gp:int -> len:int -> unit
     text-editing model. *)
 
 val mark_stale : t -> unit
-(** Marks the SB-tree and tag lists stale so the next
-    {!prepare_for_query} rebuilds and re-sorts them — a benchmark
-    helper for measuring the LS pre-query cost repeatedly. *)
+(** Marks the tag lists stale so the next {!prepare_for_query}
+    re-sorts them — a benchmark helper for measuring the LS pre-query
+    cost repeatedly.  The SB table has nothing to rebuild: it is exact
+    after every update. *)
 
 val prepare_for_query : t -> unit
-(** Brings an [Lazy_static] log to a query-ready state: rebuilds the
-    SB B{^+}-tree from the ER-tree and sorts the tag lists.  No-op
-    under [Lazy_dynamic]. *)
+(** Brings a [Lazy_static] log to a query-ready state by sorting its
+    tag lists.  No-op under [Lazy_dynamic], whose lists are always
+    sorted. *)
 
 val node_of_sid : t -> int -> Er_node.t
-(** SB-tree lookup.  Under [Lazy_static], call {!prepare_for_query}
-    first. @raise Not_found on unknown or removed sids. *)
+(** SB-tree lookup: one hash-table probe, valid under both
+    disciplines without {!prepare_for_query}.
+    @raise Not_found on unknown or removed sids. *)
 
 val segments_for_tag : t -> tag:string -> Tag_list.entry array
 (** Tag-list lookup: segments containing the tag, in global-position
@@ -131,8 +139,7 @@ val elements_of : t -> tid:int -> sid:int -> Element_index.key array
 (** Elements of one tag in one segment, in local order, read straight
     from the element store (no caching) — the reference path.  In
     memory and on frozen snapshots that is the segment's skeleton,
-    found through the SB-tree (under [Lazy_static], call
-    {!prepare_for_query} first); under [Paged] storage it is a prefix
+    found through the SB table; under [Paged] storage it is a prefix
     scan of the element index.  A removed sid has no elements. *)
 
 val elements_cols : t -> tid:int -> sid:int -> Seg_cache.cols
@@ -185,7 +192,8 @@ val element_store_bytes : t -> int
 val freeze : t -> epoch:int -> t
 (** [freeze t ~epoch] returns an immutable snapshot of [t] pinned at
     cache epoch [epoch]: a clone of the ER-tree (sharing the immutable
-    segment texts and element arrays), SB-tree, tag lists and registry,
+    segment texts and element arrays), a fresh SB table filled by one
+    pass over the cloned nodes, and clones of the tag lists and registry,
     {e sharing} [t]'s {!Seg_cache} — its columnar lookups and fills go
     through {!Seg_cache.find_at} at the pinned epoch, so the snapshot
     keeps reading retired versions while the live log moves on.  The
@@ -193,9 +201,10 @@ val freeze : t -> epoch:int -> t
     {!elements_of} and cache misses read the cloned segment skeletons,
     as an in-memory log does.  The clone
     is query-ready ([prepare_for_query] is run first, so an LS source
-    log is brought current) and every update entry point raises
-    [Invalid_argument] on it.  O(segments + tag-list entries); element
-    arrays and texts are shared, not copied. *)
+    log's tag lists are sorted) and every update entry point raises
+    [Invalid_argument] on it.  Its SB table is never mutated, so
+    concurrent readers probe it without a lock.  O(segments + tag-list
+    entries); element arrays and texts are shared, not copied. *)
 
 val is_frozen : t -> bool
 
@@ -204,8 +213,9 @@ val epoch : t -> int
     {!Seg_cache.latest} on a live log. *)
 
 val check : t -> unit
-(** Full invariant check across the ER-tree, SB-tree, element counter,
-    paged element index and tag-list (test helper).
+(** Full invariant check across the ER-tree, SB table (under both
+    disciplines), element counter, paged element index and tag-list
+    (test helper).
     @raise Failure on violation. *)
 
 val save : t -> out_channel -> unit
@@ -215,13 +225,20 @@ val save : t -> out_channel -> unit
     (a re-chop of the materialized text would assign new ones). *)
 
 val load : ?backend:Lxu_btree.Storage_backend.spec -> in_channel -> t
-(** Restores a log written by {!save}; derived structures (SB-tree,
-    paged element index, tag lists) are rebuilt from the segment data.
+(** Restores a log written by {!save}.  The SB table is filled as the
+    segments are read (it doubles as the parent lookup); the other
+    derived structures (paged element index, tag lists) are rebuilt
+    from the segment data.
     With [Paged { attach = true; _ }] the element index is {e not}
     rebuilt — the durable paged tree is reopened as-is, which is only
     sound when the page store's checkpoint LSN matches this snapshot
     (callers must verify; {!full_check} cross-validates afterwards).
-    @raise Failure on a malformed or incompatible snapshot. *)
+    @raise Failure, naming the byte offset, on a malformed or
+    incompatible snapshot — among others a segment text longer than
+    the bytes left in the file, a duplicate or non-positive sid, a
+    [next_sid] not above every loaded sid, or an element tag id
+    outside the tag table.  No length or count from the file sizes an
+    allocation before its bytes are known to exist. *)
 
 (** {1 Fragmentation statistics}
 

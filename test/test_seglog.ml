@@ -525,18 +525,32 @@ let test_lazy_static_removal () =
   check_int "one b entry" 1 (Array.length (Update_log.segments_for_tag log ~tag:"b"))
 
 let test_small_branching_log () =
-  (* A tiny B+-tree branching factor forces splits and merges in the
-     SB-tree and element index during ordinary use. *)
-  let log = Update_log.create ~branching:4 () in
-  ignore (Update_log.insert log ~gp:0 "<r></r>");
-  for _ = 1 to 40 do
-    ignore (Update_log.insert log ~gp:3 "<x><y/></x>")
-  done;
-  for _ = 1 to 30 do
-    Update_log.remove log ~gp:3 ~len:11
-  done;
-  Update_log.check log;
-  check_int "ten left" 10 (Array.length (Update_log.segments_for_tag log ~tag:"x"))
+  (* Insert/remove churn through the SB sid table under both
+     disciplines: removed sids stop resolving at once, survivors keep
+     resolving to their own nodes, and [check] (which verifies the table
+     against the ER-tree walk) holds with no [prepare_for_query]. *)
+  List.iter
+    (fun mode ->
+      let log = Update_log.create ~mode () in
+      ignore (Update_log.insert log ~gp:0 "<r></r>");
+      let sids = List.init 40 (fun _ -> Update_log.insert log ~gp:3 "<x><y/></x>") in
+      (* Each insert lands in front, so the newest sid is removed first. *)
+      for _ = 1 to 30 do
+        Update_log.remove log ~gp:3 ~len:11
+      done;
+      Update_log.check log;
+      List.iteri
+        (fun i sid ->
+          let live = i < 10 in
+          match Update_log.node_of_sid log sid with
+          | n ->
+            check_bool "survivor resolves" true live;
+            check_int "own node" sid n.Er_node.sid
+          | exception Not_found -> check_bool "removed sid gone" false live)
+        sids;
+      Update_log.prepare_for_query log;
+      check_int "ten left" 10 (Array.length (Update_log.segments_for_tag log ~tag:"x")))
+    [ Update_log.Lazy_dynamic; Update_log.Lazy_static ]
 
 let suite =
   suite

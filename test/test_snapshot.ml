@@ -116,25 +116,36 @@ let test_malformed_snapshot_sweep () =
     output_string oc s;
     close_out oc
   in
-  let attempt ~what s =
+  let find_sub ~needle hay =
+    let n = String.length needle and h = String.length hay in
+    let rec go i =
+      if i + n > h then None else if String.sub hay i n = needle then Some i else go (i + 1)
+    in
+    go 0
+  in
+  let attempt ?(must_fail = false) ~what s =
     write s;
     match Lazy_db.load path with
     | exception Failure msg ->
-      let contains ~needle hay =
-        let n = String.length needle and h = String.length hay in
-        let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-        go 0
-      in
       check_bool
         (Printf.sprintf "%s: %S names the file" what msg)
         true
-        (contains ~needle:path msg)
+        (find_sub ~needle:path msg <> None)
     | exception e ->
       Alcotest.failf "%s: raised %s, not Failure" what (Printexc.to_string e)
+    | _ when must_fail -> Alcotest.failf "%s: damaged snapshot accepted" what
     | db' ->
       (* Accepting damaged input is only allowed if the damage was
          invisible (e.g. a cut inside trailing padding). *)
       check_string (what ^ ": loaded state intact") reference (Lazy_db.text db')
+  in
+  (* [bytes] with its first [old] replaced by [by]. *)
+  let edit ~old ~by =
+    match find_sub ~needle:old bytes with
+    | None -> Alcotest.failf "sample snapshot has no %S" old
+    | Some i ->
+      String.sub bytes 0 i ^ by
+      ^ String.sub bytes (i + String.length old) (String.length bytes - i - String.length old)
   in
   (* Truncations: every strict prefix, including mid-header and
      mid-segment-body cuts. *)
@@ -144,6 +155,20 @@ let test_malformed_snapshot_sweep () =
   (* Bad magic / corrupted header line. *)
   attempt ~what:"bad magic" ("X" ^ String.sub bytes 1 (String.length bytes - 1));
   attempt ~what:"garbage header" "LXUSNAP1 garbage\n";
+  (* Hostile sizes: lengths and counts far beyond the file must be
+     refused before anything is allocated for them. *)
+  let reject ~what ~old ~by = attempt ~must_fail:true ~what (edit ~old ~by) in
+  reject ~what:"4e12-byte segment text" ~old:"seg 1 0 0 75 0 0 11 "
+    ~by:"seg 1 0 0 75 0 0 4000000000000 ";
+  reject ~what:"4e15 segments" ~old:"segments 3\n" ~by:"segments 4000000000000000\n";
+  (* Segment ids: unique, positive, and below [next_sid]. *)
+  reject ~what:"duplicate sid" ~old:"seg 2 1 26 " ~by:"seg 3 1 26 ";
+  reject ~what:"sid 0" ~old:"seg 2 1 26 " ~by:"seg 0 1 26 ";
+  reject ~what:"next_sid reuses a sid" ~old:"next_sid 4\n" ~by:"next_sid 1\n";
+  reject ~what:"next_sid = largest sid" ~old:"next_sid 4\n" ~by:"next_sid 3\n";
+  (* Tag ids: inside the tag table. *)
+  reject ~what:"negative tid" ~old:"e 14 36 2 3\n" ~by:"e 14 36 2 -1\n";
+  reject ~what:"tid past the tag table" ~old:"e 14 36 2 3\n" ~by:"e 14 36 2 99\n";
   Sys.remove path
 
 let test_empty_db_roundtrip () =
