@@ -45,6 +45,29 @@ let test_fig12_std_join =
   Test.make ~name:"fig12/13/15: stack-tree-desc A//D"
     (Staged.stage (fun () -> ignore (Lxu_join.Stack_tree_desc.join ~anc:a ~desc:d ())))
 
+(* One base segment of 500 <a><d/></a> groups with [children] child
+   segments hooked between them: every A//D pair lies in the base
+   segment, so [global_pairs] translates each through that one wide ER
+   node.  Returns the test and its pair count (for ns per pair). *)
+let global_pairs_case children =
+  let groups = 500 in
+  let log = Update_log.create () in
+  ignore
+    (Update_log.insert log ~gp:0
+       ("<r>" ^ String.concat "" (List.init groups (fun _ -> "<a><d/></a>")) ^ "</r>"));
+  (* Back to front: each gp is still an offset of the base text. *)
+  for j = children - 1 downto 0 do
+    ignore (Update_log.insert log ~gp:(3 + (11 * (j * groups / children))) "<x/>")
+  done;
+  Update_log.prepare_for_query log;
+  let pairs, _ = Lxu_join.Lazy_join.run log ~anc:"a" ~desc:"d" () in
+  ( Test.make
+      ~name:(Printf.sprintf "global_pairs: %d children" children)
+      (Staged.stage (fun () -> ignore (Lxu_join.Lazy_join.global_pairs log pairs))),
+    Array.length pairs )
+
+let global_pairs_cases = List.map global_pairs_case [ 100; 1000 ]
+
 let test_fig16_store_insert_remove =
   let text = Lxu_workload.Xmark.generate_text ~persons:300 ~seed:9 () in
   let store = Bench_util.load_store [ (0, text) ] in
@@ -73,14 +96,15 @@ let test_substrate_parse =
 
 let tests =
   Test.make_grouped ~name:"micro"
-    [
-      test_fig11_log_insert_remove;
-      test_fig12_lazy_join;
-      test_fig12_std_join;
-      test_fig16_store_insert_remove;
-      test_fig17_crt_solve;
-      test_substrate_parse;
-    ]
+    ([
+       test_fig11_log_insert_remove;
+       test_fig12_lazy_join;
+       test_fig12_std_join;
+       test_fig16_store_insert_remove;
+       test_fig17_crt_solve;
+       test_substrate_parse;
+     ]
+    @ List.map fst global_pairs_cases)
 
 let run () =
   Bench_util.header "Bechamel micro-benchmarks (ns/run, OLS fit)";
@@ -94,6 +118,15 @@ let run () =
   Hashtbl.iter
     (fun name result ->
       match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-48s %12.1f ns/run\n" name est
+      | Some [ est ] ->
+        let per_pair =
+          List.find_map
+            (fun (t, pairs) ->
+              if String.ends_with ~suffix:(Test.name t) name then
+                Some (Printf.sprintf "  (%.1f ns/pair, %d pairs)" (est /. float pairs) pairs)
+              else None)
+            global_pairs_cases
+        in
+        Printf.printf "  %-48s %12.1f ns/run%s\n" name est (Option.value per_pair ~default:"")
       | _ -> Printf.printf "  %-48s (no estimate)\n" name)
     results

@@ -139,18 +139,24 @@ let eval_steps ops steps =
 
 (* --- lazy-log instantiation -------------------------------------------- *)
 
+(* Lexicographic order on int pairs — the [(sid, start)] element keys
+   and the [(start, stop)] extents — without the polymorphic compare. *)
+let compare_int_pair ((a1 : int), (b1 : int)) (a2, b2) =
+  if a1 <> a2 then Int.compare a1 a2 else Int.compare b1 b2
+
+let sort_extents l = List.sort compare_int_pair l
+
 module Ref_set = Set.Make (struct
   type t = int * int
 
-  let compare = compare
+  let compare = compare_int_pair
 end)
 
 let log_ops ?guard log =
   let reg = Update_log.registry log in
-  (* Folds [f acc ~sid ~start ~stop ~level] over every element of the
-     tag, segment by segment through the columnar cache — no key
-     records are materialized. *)
-  let fold_tag tag f init =
+  (* Folds [f acc ~sid cols] over the segments holding the tag, with
+     each segment's elements of the tag as columns from the cache. *)
+  let fold_segments tag f init =
     match Tag_registry.find reg tag with
     | None -> init
     | Some tid ->
@@ -158,15 +164,21 @@ let log_ops ?guard log =
         (fun acc (entry : Tag_list.entry) ->
           Lxu_util.Deadline.check_opt guard;
           let sid = entry.Tag_list.sid in
-          let c : Seg_cache.cols = Update_log.elements_cols log ~tid ~sid in
-          let n = Seg_cache.cols_length c in
-          let acc = ref acc in
-          for i = 0 to n - 1 do
-            acc := f !acc ~sid ~start:c.starts.(i) ~stop:c.stops.(i) ~level:c.levels.(i)
-          done;
-          !acc)
+          f acc ~sid (Update_log.elements_cols log ~tid ~sid))
         init
         (Update_log.segments_for_tag log ~tag)
+  in
+  (* Folds [f acc ~sid ~start ~stop ~level] over every element of the
+     tag — no key records are materialized. *)
+  let fold_tag tag f init =
+    fold_segments tag
+      (fun acc ~sid (c : Seg_cache.cols) ->
+        let acc = ref acc in
+        for i = 0 to Seg_cache.cols_length c - 1 do
+          acc := f !acc ~sid ~start:c.starts.(i) ~stop:c.stops.(i) ~level:c.levels.(i)
+        done;
+        !acc)
+      init
   in
   let jaxis = function
     | Desc -> Lxu_join.Lazy_join.Descendant
@@ -208,15 +220,20 @@ let log_ops ?guard log =
     inter = Ref_set.inter;
     extents =
       (fun tag set ->
-        fold_tag tag
-          (fun acc ~sid ~start ~stop ~level:_ ->
-            if Ref_set.mem (sid, start) set then begin
-              let node = Update_log.node_of_sid log sid in
-              Er_node.global_extent_span node ~start ~stop :: acc
-            end
-            else acc)
+        (* One translator per segment visited, not one fold over the
+           segment's children per element. *)
+        fold_segments tag
+          (fun acc ~sid (c : Seg_cache.cols) ->
+            let tr = Er_node.translator (Update_log.node_of_sid log sid) in
+            let acc = ref acc in
+            for i = 0 to Seg_cache.cols_length c - 1 do
+              let start = c.starts.(i) in
+              if Ref_set.mem (sid, start) set then
+                acc := (Er_node.global_start tr start, Er_node.global_stop tr c.stops.(i)) :: !acc
+            done;
+            !acc)
           []
-        |> List.sort compare);
+        |> sort_extents);
   }
 
 (* --- interval-store instantiation --------------------------------------- *)
@@ -271,7 +288,7 @@ let store_ops ?guard store =
                if Int_set.mem l.Interval.start set then
                  Some (l.Interval.start, l.Interval.stop)
                else None)
-        |> List.sort compare);
+        |> sort_extents);
   }
 
 (* --- holistic evaluation (PathStack; predicate-free paths only) --------- *)
@@ -334,7 +351,7 @@ let eval_log_twig log steps =
   |> List.map (fun row ->
          let iv = row.(out_qid) in
          (iv.Interval.start, iv.Interval.stop))
-  |> List.sort_uniq compare
+  |> List.sort_uniq compare_int_pair
 
 let eval_log_holistic log steps =
   let steps_a = Array.of_list steps in
@@ -359,7 +376,7 @@ let eval_log_holistic log steps =
   in
   Lxu_join.Path_stack.leaves ~streams ~edges
   |> List.map (fun (l : Interval.t) -> (l.Interval.start, l.Interval.stop))
-  |> List.sort compare
+  |> sort_extents
 
 (* --- planned evaluation (lib/plan) -------------------------------------- *)
 
@@ -544,7 +561,7 @@ let eval_log_plan ?guard ?pool log steps plan =
   | Lxu_plan.Plan.Holistic _ ->
     (* Plans are only chosen for predicate-free chains here; sort_uniq
        normalizes the leaf list to the extents fingerprint. *)
-    List.sort_uniq compare (eval_log_holistic log steps)
+    List.sort_uniq compare_int_pair (eval_log_holistic log steps)
   | Lxu_plan.Plan.Ordered o -> eval_log_planned ?guard ?pool log steps o
 
 let eval ?(strategy = Pairwise) ?(plan = `Auto) ?guard db steps =

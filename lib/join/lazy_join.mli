@@ -138,4 +138,9 @@ val run :
 val global_pairs : Lxu_seglog.Update_log.t -> pair array -> (int * int) list
 (** Translates pairs to [(anc_gstart, desc_gstart)] global positions,
     sorted by [(desc, anc)] — the canonical form for comparing against
-    the classical algorithms. *)
+    the classical algorithms.
+
+    Cost: one {!Lxu_seglog.Er_node.translator} per distinct segment in
+    [pairs] (O(children + tombstones) each), then two binary searches
+    per pair and an O(n log n) sort — O(log fanout) per pair, however
+    many child segments an ancestor segment carries. *)

@@ -15,17 +15,18 @@ let global_list_counted log ~tag stats =
     let acc = Vec.create () in
     Array.iter
       (fun (entry : Tag_list.entry) ->
-        let node = Update_log.node_of_sid log entry.Tag_list.sid in
+        let tr = Er_node.translator (Update_log.node_of_sid log entry.Tag_list.sid) in
         let c : Seg_cache.cols = Update_log.elements_cols log ~tid ~sid:entry.Tag_list.sid in
         let n = Seg_cache.cols_length c in
         (match stats with
         | Some s -> s.elements_read <- s.elements_read + n
         | None -> ());
         for i = 0 to n - 1 do
-          let gstart, gstop =
-            Er_node.global_extent_span node ~start:c.starts.(i) ~stop:c.stops.(i)
-          in
-          Vec.push acc (Interval.make ~start:gstart ~stop:gstop ~level:c.levels.(i))
+          Vec.push acc
+            (Interval.make
+               ~start:(Er_node.global_start tr c.starts.(i))
+               ~stop:(Er_node.global_stop tr c.stops.(i))
+               ~level:c.levels.(i))
         done)
       (Update_log.segments_for_tag log ~tag);
     let a = Vec.to_array acc in

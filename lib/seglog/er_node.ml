@@ -42,11 +42,6 @@ let children_len t = Vec.fold_left (fun acc c -> acc + c.len) 0 t.children
 
 let own_len t = t.orig_len - tombstoned_total t
 
-let tombstoned_before t x =
-  Vec.fold_left
-    (fun acc (a, b) -> if b <= x then acc + (b - a) else if a < x then acc + (x - a) else acc)
-    0 t.tombstones
-
 let virt_of_own_phys t p =
   let v = ref p in
   (* Tombstones are sorted; each gap at or before the running virtual
@@ -100,20 +95,65 @@ let path t =
 let child_index_for_gp t gp =
   Vec.lower_bound t.children ~compare:(fun c -> if c.gp <= gp then -1 else 0)
 
-let sum_children_upto t x ~incl_eq =
-  Vec.fold_left
-    (fun acc c -> if c.lp < x || (incl_eq && c.lp = x) then acc + c.len else acc)
-    0 t.children
+(* Number of elements of the sorted array [a] that are [<= x] (with
+   [le]) or [< x] (without). *)
+let count_upto (a : int array) x ~le =
+  let lo = ref 0 and hi = ref (Array.length a) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let v = Array.unsafe_get a mid in
+    if v < x || (le && v = x) then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
-let phys_of_virt t x =
-  t.gp + (x - tombstoned_before t x) + sum_children_upto t x ~incl_eq:true
+type translator = {
+  base : int;  (* [gp] when built *)
+  child_lps : int array;  (* non-decreasing, one per child *)
+  child_cum : int array;  (* [child_cum.(i)]: summed [len] of children [0, i) *)
+  tomb_starts : int array;
+  tomb_stops : int array;  (* both increasing: tombstones are sorted and disjoint *)
+  tomb_cum : int array;  (* [tomb_cum.(i)]: summed length of tombstones [0, i) *)
+}
 
-let global_extent_span t ~start ~stop =
-  let gstart = t.gp + (start - tombstoned_before t start) + sum_children_upto t start ~incl_eq:true in
-  let gstop = t.gp + (stop - tombstoned_before t stop) + sum_children_upto t stop ~incl_eq:false in
-  (gstart, gstop)
+let prefix_sums n f =
+  let cum = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    cum.(i + 1) <- cum.(i) + f i
+  done;
+  cum
 
-let global_extent t e = global_extent_span t ~start:e.start ~stop:e.stop
+let translator t =
+  let nc = Vec.length t.children and nt = Vec.length t.tombstones in
+  {
+    base = t.gp;
+    child_lps = Array.init nc (fun i -> (Vec.get t.children i).lp);
+    child_cum = prefix_sums nc (fun i -> (Vec.get t.children i).len);
+    tomb_starts = Array.init nt (fun i -> fst (Vec.get t.tombstones i));
+    tomb_stops = Array.init nt (fun i -> snd (Vec.get t.tombstones i));
+    tomb_cum =
+      prefix_sums nt (fun i ->
+          let a, b = Vec.get t.tombstones i in
+          b - a);
+  }
+
+(* Live own bytes before virtual [x]: [x] minus every tombstone ending
+   at or before it, minus the part of the one tombstone (if any) that
+   straddles it. *)
+let live_before tr x =
+  let j = count_upto tr.tomb_stops x ~le:true in
+  let dead = tr.tomb_cum.(j) in
+  let dead =
+    if j < Array.length tr.tomb_starts && tr.tomb_starts.(j) < x then
+      dead + (x - tr.tomb_starts.(j))
+    else dead
+  in
+  x - dead
+
+let global_start tr x =
+  tr.base + live_before tr x + tr.child_cum.(count_upto tr.child_lps x ~le:true)
+
+let global_stop tr x =
+  tr.base + live_before tr x + tr.child_cum.(count_upto tr.child_lps x ~le:false)
 
 let rec iter_subtree t f =
   f t;

@@ -27,7 +27,9 @@ type t = {
   base_level : int;  (** depth of the insertion point *)
   text : string;  (** original segment text (materialization oracle) *)
   mutable parent : t option;
-  children : t Lxu_util.Vec.t;  (** sorted by [gp] *)
+  children : t Lxu_util.Vec.t;
+      (** sorted by [gp], hence by [lp] (non-decreasing; {!check}
+          verifies it) *)
   tombstones : (int * int) Lxu_util.Vec.t;
       (** deleted virtual ranges of own text; sorted, disjoint,
           non-adjacent *)
@@ -51,10 +53,6 @@ val is_root : t -> bool
 val own_len : t -> int
 (** Physical length of the node's own text: original length minus
     tombstoned bytes (descendant segments excluded). *)
-
-val tombstoned_before : t -> int -> int
-(** Total tombstoned virtual bytes before virtual position [x]
-    (portions of tombstones extending past [x] excluded). *)
 
 val virt_of_own_phys : t -> int -> int
 (** Converts a physical offset within the node's own text (children
@@ -85,21 +83,44 @@ val child_index_for_gp : t -> int -> int
     be inserted to keep the vector sorted (after any child with equal
     [gp]). *)
 
-val phys_of_virt : t -> int -> int
-(** Global physical position of virtual offset [x] of this node's own
-    text: [gp] plus live own bytes before [x] plus the lengths of
-    children at positions [<= x] (a child inserted exactly at [x]
-    precedes it).  This realizes Definition 2 in reverse. *)
+(** {2 Local→global translation}
 
-val global_extent : t -> elem -> int * int
-(** Current global [(start, stop)] of an element, accounting for
-    tombstones and embedded child segments.  This is the local→global
-    translation that lets classical join algorithms run on the lazy
-    store (§4). *)
+    A virtual offset [x] of a node's own text sits at global position
+    [gp] + (live own bytes before [x]) + (summed [len] of the children
+    hooked before [x]).  This realizes Definition 2 in reverse: it is
+    the step that lets joins run on fixed local labels and still
+    report global positions (§4).  The two ends of an element differ
+    only at boundaries:
 
-val global_extent_span : t -> start:int -> stop:int -> int * int
-(** As {!global_extent}, but on a bare local [(start, stop)] span —
-    the record-free form used by columnar consumers. *)
+    {ul
+    {- a child at [lp = x] counts as before a {e start} [x] (a segment
+       inserted exactly at an element's start precedes it), but not
+       before a {e stop} [x] (one inserted exactly at its end does not
+       extend it);}
+    {- for a start or stop inside a tombstone, only the part of the
+       tombstone before it is dead; an offset exactly on a tombstone's
+       start counts none of it, one on its stop counts all of it.}} *)
+
+type translator
+(** The translation of one node, as prefix sums over the child [lp]s
+    (with their cumulative [len]s) and over the tombstone bounds (with
+    their cumulative lengths).  It is a read-only value built from the
+    node's [gp], [children] and [tombstones] at the time of the call:
+    an insert or remove anywhere in the log may invalidate it, so
+    build one per query and drop it with the query.  Being immutable,
+    it can be shared between domains. *)
+
+val translator : t -> translator
+(** O(children + tombstones).  Relies on the children's [lp]s being
+    non-decreasing and the tombstones sorted and disjoint, as
+    {!check} verifies. *)
+
+val global_start : translator -> int -> int
+(** Global position of a start at virtual offset [x]: two binary
+    searches, O(log children + log tombstones). *)
+
+val global_stop : translator -> int -> int
+(** Global position of a stop at virtual offset [x]; same cost. *)
 
 val iter_subtree : t -> (t -> unit) -> unit
 (** Pre-order traversal of the node and its descendants. *)

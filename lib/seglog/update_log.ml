@@ -684,14 +684,20 @@ let global_elements t ~tag =
   | Some tid ->
     let acc = ref [] in
     Er_node.iter_subtree t.root (fun n ->
+        let tr = Er_node.translator n in
         Vec.iter
           (fun (e : Er_node.elem) ->
-            if e.tid = tid then begin
-              let gstart, gstop = Er_node.global_extent n e in
-              acc := (gstart, gstop, e.level) :: !acc
-            end)
+            if e.tid = tid then
+              acc :=
+                (Er_node.global_start tr e.start, Er_node.global_stop tr e.stop, e.level)
+                :: !acc)
           n.elems);
-    List.sort compare !acc
+    List.sort
+      (fun (s1, e1, l1) (s2, e2, l2) ->
+        if s1 <> s2 then Int.compare s1 s2
+        else if e1 <> e2 then Int.compare e1 e2
+        else Int.compare l1 l2)
+      !acc
 
 (* --- sizes and checks ----------------------------------------------- *)
 

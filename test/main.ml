@@ -8,6 +8,7 @@ let () =
       ("labeling", Test_labeling.suite);
       ("seglog", Test_seglog.suite);
       ("er_node", Test_er_node.suite);
+      ("wide_segment", Test_wide_segment.suite);
       ("element_index", Test_element_index.suite);
       ("tag_list", Test_tag_list.suite);
       ("synopsis", Test_synopsis.suite);

@@ -25,10 +25,14 @@ let test_tombstone_accounting () =
   let n = mk "0123456789" [] in
   Er_node.add_tombstone n 2 4;
   check_int "own_len" 8 (Er_node.own_len n);
-  check_int "before 1" 0 (Er_node.tombstoned_before n 1);
-  check_int "before 3 (partial)" 1 (Er_node.tombstoned_before n 3);
-  check_int "before 4" 2 (Er_node.tombstoned_before n 4);
-  check_int "before 9" 2 (Er_node.tombstoned_before n 9)
+  (* At gp 0 without children, [x] translates to its live bytes
+     before it: [x] minus the tombstoned ones. *)
+  let tr = Er_node.translator n in
+  let dead_before x = x - Er_node.global_start tr x in
+  check_int "before 1" 0 (dead_before 1);
+  check_int "before 3 (partial)" 1 (dead_before 3);
+  check_int "before 4" 2 (dead_before 4);
+  check_int "before 9" 2 (dead_before 9)
 
 let test_tombstone_merge () =
   let n = mk "0123456789" [] in
@@ -88,6 +92,27 @@ let test_depth_at_with_base () =
   let n = mk ~base_level:5 "<a>x</a>" [ (0, 8, 5, 0) ] in
   check_int "base plus nesting" 6 (Er_node.depth_at n 4)
 
+(* The translation formula as a fold over every child and tombstone —
+   the reference the translator's binary searches must reproduce. *)
+let reference_extent (n : Er_node.t) ~start ~stop =
+  let children_upto x ~incl_eq =
+    Vec.fold_left
+      (fun acc (c : Er_node.t) ->
+        if c.Er_node.lp < x || (incl_eq && c.Er_node.lp = x) then acc + c.Er_node.len else acc)
+      0 n.Er_node.children
+  in
+  let dead_before x =
+    Vec.fold_left
+      (fun acc (a, b) -> if b <= x then acc + (b - a) else if a < x then acc + (x - a) else acc)
+      0 n.Er_node.tombstones
+  in
+  ( n.Er_node.gp + (start - dead_before start) + children_upto start ~incl_eq:true,
+    n.Er_node.gp + (stop - dead_before stop) + children_upto stop ~incl_eq:false )
+
+let translate n (e : Er_node.elem) =
+  let tr = Er_node.translator n in
+  (Er_node.global_start tr e.Er_node.start, Er_node.global_stop tr e.Er_node.stop)
+
 let test_global_extent_with_child () =
   (* Segment at gp 100 with element [0,10) and a child segment of
      length 7 hanging at lp 4 (inside the element). *)
@@ -96,7 +121,7 @@ let test_global_extent_with_child () =
   child.Er_node.parent <- Some parent;
   Vec.push parent.Er_node.children child;
   parent.Er_node.len <- parent.Er_node.len + 10;
-  let gstart, gstop = Er_node.global_extent parent { Er_node.start = 0; stop = 12; level = 0; tid = 0 } in
+  let gstart, gstop = translate parent { Er_node.start = 0; stop = 12; level = 0; tid = 0 } in
   check_int "gstart" 100 gstart;
   check_int "gstop includes child" 122 gstop
 
@@ -108,11 +133,11 @@ let test_global_extent_child_at_boundary () =
   child.Er_node.parent <- Some parent;
   Vec.push parent.Er_node.children child;
   parent.Er_node.len <- parent.Er_node.len + 4;
-  let a_start, a_stop = Er_node.global_extent parent { Er_node.start = 0; stop = 8; level = 0; tid = 0 } in
+  let a_start, a_stop = translate parent { Er_node.start = 0; stop = 8; level = 0; tid = 0 } in
   check_int "a pushed right" 4 a_start;
   check_int "a stop" 12 a_stop;
   (* The second element sits after both. *)
-  let d_start, _ = Er_node.global_extent parent { Er_node.start = 8; stop = 12; level = 0; tid = 1 } in
+  let d_start, _ = translate parent { Er_node.start = 8; stop = 12; level = 0; tid = 1 } in
   check_int "d start" 12 d_start
 
 let test_path_chain () =
@@ -184,16 +209,65 @@ let prop_virt_phys_inverse =
              if a < b then Er_node.add_tombstone n a b)
            ranges;
          let live = Er_node.own_len n in
+         (* gp 0, no children: a virtual offset translates to its
+            physical one. *)
+         let tr = Er_node.translator n in
          let ok = ref true in
          for p = 0 to live do
            let v_after = Er_node.virt_of_own_phys n p in
            let v_before = Er_node.virt_of_own_phys_before n p in
            (* Both map back to the same physical position. *)
-           let back v = v - Er_node.tombstoned_before n v in
+           let back v = Er_node.global_start tr v in
            if back v_after <> p || back v_before <> p then ok := false;
            if v_before > v_after then ok := false;
            if p > 0 && Er_node.virt_of_own_phys n (p - 1) >= v_after then ok := false
          done;
          !ok))
 
-let suite = suite @ [ prop_virt_phys_inverse ]
+(* Translator = reference fold on random nodes: repeated child lps,
+   children hooked exactly at element starts and stops, tombstones.
+   Every virtual offset 0..40 is translated both as a start and as a
+   stop, so starts and stops on every tombstone bound (and inside
+   every tombstone) are covered. *)
+let prop_translator_matches_reference =
+  (* Element bounds of the node's text below. *)
+  let bounds = [ 0; 3; 10; 17; 21 ] in
+  let gen =
+    QCheck2.Gen.(
+      triple (int_range 0 60)
+        (list_size (int_range 0 12)
+           (pair (oneof [ oneofl bounds; int_bound 40 ]) (int_range 0 9)))
+        (list_size (int_range 0 6) (pair (int_bound 38) (int_range 1 6))))
+  in
+  let print (gp, kids, tombs) =
+    let l xs = String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) xs) in
+    Printf.sprintf "gp=%d children(lp,len)=[%s] tombstones(a,width)=[%s]" gp (l kids) (l tombs)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~name:"translator = reference fold" ~count:300 ~print gen
+       (fun (gp, kids, tombs) ->
+         let text = "<a><b></b><c></c></a>" ^ String.make 19 ' ' in
+         let n = mk ~gp text [ (0, 21, 0, 0); (3, 10, 1, 1); (10, 17, 1, 2) ] in
+         List.iter
+           (fun (a, w) ->
+             let b = min 40 (a + w) in
+             if a < b then Er_node.add_tombstone n a b)
+           tombs;
+         (* Children are kept in document order, so their lps are
+            non-decreasing; a child's [len] may be 0. *)
+         List.iteri
+           (fun i (lp, len) ->
+             let c = mk ~sid:(i + 2) ~lp "<x/>" [] in
+             c.Er_node.len <- len;
+             c.Er_node.parent <- Some n;
+             Vec.push n.Er_node.children c)
+           (List.stable_sort (fun (x, _) (y, _) -> Int.compare x y) kids);
+         let tr = Er_node.translator n in
+         let ok = ref true in
+         for x = 0 to String.length text do
+           let rs, rt = reference_extent n ~start:x ~stop:x in
+           if Er_node.global_start tr x <> rs || Er_node.global_stop tr x <> rt then ok := false
+         done;
+         !ok))
+
+let suite = suite @ [ prop_virt_phys_inverse; prop_translator_matches_reference ]
